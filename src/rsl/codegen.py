@@ -129,12 +129,14 @@ def generate(program: Program, manifest: SkillManifest) -> str:
     """Emit the control program: import preamble, then one call per statement
     in source order. Output is deterministic for identical inputs.
 
-    The program must be verified; generation re-checks the rendered program
-    and refuses on any diagnostic.
+    The program must be verified. A program that check() verified carries
+    its mark and is trusted as is; any other program is rendered and checked
+    here, and generation refuses on any diagnostic.
     """
-    diagnostics = check(render_program(program)).diagnostics
-    if diagnostics:
-        raise GenerationError(f"program is not verified: {render(diagnostics[0])}")
+    if not program.verified:
+        diagnostics = check(render_program(program)).diagnostics
+        if diagnostics:
+            raise GenerationError(f"program is not verified: {render(diagnostics[0])}")
 
     used: dict[str, set[str]] = {}
     for statement in program.statements:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .syntax import SourceSpan
 
@@ -35,9 +35,6 @@ LEXICAL_CATEGORIES = frozenset(
         Category.CHARACTER,
         Category.COMMENT,
     }
-)
-SYNTACTIC_CATEGORIES = frozenset(
-    {Category.COMMAND, Category.PARAMETER, Category.QUANTITY, Category.SEMICOLON}
 )
 
 # Canonical sentence per category. The Character sentence names the offending
@@ -114,7 +111,3 @@ def compose_feedback(diagnostics: Sequence[Diagnostic], program: str) -> str:
     lines.append("")
     lines.append(FEEDBACK_INSTRUCTION)
     return "\n".join(lines)
-
-
-def render_all(diagnostics: Iterable[Diagnostic]) -> str:
-    return "\n".join(render(d) for d in diagnostics)

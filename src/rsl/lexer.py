@@ -7,7 +7,8 @@ statement:
 
   * case-variant keyword  -> Keyword diagnostic, plus the intended keyword token
   * digit-led identifier  -> Identifier diagnostic, plus an identifier token
-  * malformed number      -> Number diagnostic, plus a number token (best-effort value)
+  * malformed number      -> Number diagnostic, plus a number token (best-effort value);
+                             a literal too large for a finite float is malformed
   * illegal character     -> Character diagnostic, character skipped
   * malformed comment     -> Comment diagnostic, rest of the line consumed
                              (rest of the input for an unterminated block)
@@ -18,6 +19,8 @@ cascade, which is what the repair loop needs.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .diagnostics import Category, Diagnostic
@@ -122,8 +125,8 @@ class _Scanner:
         while j < len(self.source) and self.source[j] in _BLOB_CHARS:
             j += 1
         blob = self.source[self.i : j]
-        if NUMBER_RE.match(blob):
-            self._emit(TokenKind.NUMBER, blob, value=float(blob))
+        if NUMBER_RE.match(blob) and math.isfinite(value := float(blob)):
+            self._emit(TokenKind.NUMBER, blob, value=value)
         elif any(c in _IDENT_START for c in blob):
             self.diagnostics.append(
                 Diagnostic(Category.IDENTIFIER, self._span(blob), blob)
@@ -162,10 +165,14 @@ class _Scanner:
 
 
 def _best_effort_value(blob: str) -> float:
-    """Longest valid numeric prefix of a malformed number, 0.0 if none."""
+    """Longest valid numeric prefix of a malformed number, 0.0 if none. A
+    prefix too large for a float gives the largest finite float of its sign."""
     for end in range(len(blob), 0, -1):
         if NUMBER_RE.match(blob[:end]):
-            return float(blob[:end])
+            value = float(blob[:end])
+            if math.isinf(value):
+                return math.copysign(sys.float_info.max, value)
+            return value
     return 0.0
 
 

@@ -13,6 +13,7 @@ keeps every turn.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -26,17 +27,39 @@ from .syntax import KEYWORDS, Program
 
 DEFAULT_MAX_PASSES = 5
 
-_FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
-_KEYWORD_LINE_RE = re.compile(
-    r"^\s*(?:" + "|".join(sorted(KEYWORDS)) + r")\b"
+_KEYWORD_ALTERNATION = "|".join(sorted(KEYWORDS))
+_KEYWORD_AHEAD = r"(?i:" + _KEYWORD_ALTERNATION + r")\b"
+# An opening fence is ``` followed by either code on the same line, after an
+# optional language tag and blanks, or an info line (dropped) and a newline.
+# Same-line code must start with a command keyword in any case, and a tag is
+# never a keyword, so ```perceive; forward 1;``` keeps both statements and a
+# stray ``` in prose does not open a fence.
+_FENCE_RE = re.compile(
+    r"```(?:(?:(?!" + _KEYWORD_AHEAD + r")[^\s`]+[ \t]+)?(?=" + _KEYWORD_AHEAD + r")"
+    r"|[^\n`]*\n)(.*?)```",
+    re.DOTALL,
 )
+_KEYWORD_LINE_RE = re.compile(r"^\s*(?:" + _KEYWORD_ALTERNATION + r")\b")
+
+
+@functools.lru_cache(maxsize=256)
+def _verified_shot(shot_rsl: str) -> Program:
+    """check() one shot and return its verified program. Only verified shots
+    are cached, so a template copied per task re-checks nothing and a bad
+    shot raises every time."""
+    outcome = check(shot_rsl)
+    if outcome.diagnostics:
+        raise ValueError(render(outcome.diagnostics[0]))
+    return outcome.program
 
 
 @dataclass(frozen=True)
 class PromptParts:
     """System message, exemplar (task, program) shots, and the user task.
     Shots may be empty (zero-shot); when present each shot's program must
-    verify cleanly, enforced at construction."""
+    verify cleanly, enforced at construction. A shot is checked the first
+    time it is seen and its verified program kept, so a template copied per
+    task with dataclasses.replace(template, task=...) makes no check calls."""
 
     system_message: str
     shots: tuple[tuple[str, str], ...]
@@ -46,11 +69,12 @@ class PromptParts:
         if not self.system_message.strip():
             raise ValueError("system message must be non-empty")
         for shot_task, shot_rsl in self.shots:
-            problems = check(shot_rsl).diagnostics
-            if problems:
+            try:
+                _verified_shot(shot_rsl)
+            except ValueError as err:
                 raise ValueError(
-                    f"shot for task {shot_task!r} does not verify: {render(problems[0])}"
-                )
+                    f"shot for task {shot_task!r} does not verify: {err}"
+                ) from None
 
 
 @dataclass(frozen=True)

@@ -63,18 +63,16 @@ class TokenStream:
         return tok
 
 
-def _statement_text(consumed: list[Token], source: str) -> str:
+def _statement_text(consumed: list[Token], lines: list[str]) -> str:
     """Source text of a statement, for missing-terminator diagnostics.
 
-    Prefers the exact source slice; falls back to re-joining token texts when
-    the statement spans lines or no source is available.
+    Prefers the exact slice of the source lines; falls back to re-joining
+    token texts when the statement spans lines or no source is available.
     """
     first, last = consumed[0], consumed[-1]
-    if source and first.span.line == last.span.line:
-        lines = source.splitlines()
-        if first.span.line <= len(lines):
-            line_text = lines[first.span.line - 1]
-            return line_text[first.span.col_start - 1 : last.span.col_end]
+    if first.span.line == last.span.line and first.span.line <= len(lines):
+        line_text = lines[first.span.line - 1]
+        return line_text[first.span.col_start - 1 : last.span.col_end]
     parts: list[str] = []
     for tok in consumed:
         if parts and tok.kind not in (TokenKind.COMMA, TokenKind.SEMICOLON):
@@ -99,17 +97,17 @@ def _recover(stream: TokenStream) -> None:
         stream.advance()
 
 
-def _diag_at(category: Category, tok: Token, consumed: list[Token], source: str) -> Diagnostic:
+def _diag_at(category: Category, tok: Token, consumed: list[Token], lines: list[str]) -> Diagnostic:
     if tok.kind is TokenKind.END:
         # Nothing to point at; name the statement parsed so far instead.
         return Diagnostic(
-            category, _statement_span(consumed), _statement_text(consumed, source)
+            category, _statement_span(consumed), _statement_text(consumed, lines)
         )
     return Diagnostic(category, tok.span, tok.text)
 
 
 def _parse_statement(
-    stream: TokenStream, source: str
+    stream: TokenStream, lines: list[str]
 ) -> tuple[Statement | None, Diagnostic | None]:
     kw_tok = stream.advance()
     consumed = [kw_tok]
@@ -123,7 +121,7 @@ def _parse_statement(
                 consumed.append(stream.advance())
             else:
                 # Parameter list loses its shape here: wrong count/structure.
-                return None, _diag_at(Category.QUANTITY, sep, consumed, source)
+                return None, _diag_at(Category.QUANTITY, sep, consumed, lines)
         tok = stream.peek()
         if tok.kind is _PARAM_KINDS[kind]:
             consumed.append(stream.advance())
@@ -132,10 +130,10 @@ def _parse_statement(
             else:
                 args.append(tok.text)
         elif tok.kind in (TokenKind.NUMBER, TokenKind.IDENTIFIER, TokenKind.COMMA):
-            return None, _diag_at(Category.PARAMETER, tok, consumed, source)
+            return None, _diag_at(Category.PARAMETER, tok, consumed, lines)
         else:
             # SEMICOLON, KEYWORD, or END before the schema was satisfied.
-            return None, _diag_at(Category.QUANTITY, tok, consumed, source)
+            return None, _diag_at(Category.QUANTITY, tok, consumed, lines)
 
     terminator = stream.peek()
     if terminator.kind is TokenKind.SEMICOLON:
@@ -145,10 +143,10 @@ def _parse_statement(
             None,
         )
     if terminator.kind in (TokenKind.NUMBER, TokenKind.IDENTIFIER, TokenKind.COMMA):
-        return None, _diag_at(Category.QUANTITY, terminator, consumed, source)
+        return None, _diag_at(Category.QUANTITY, terminator, consumed, lines)
     # KEYWORD or END: the statement simply was not terminated.
     return None, Diagnostic(
-        Category.SEMICOLON, _statement_span(consumed), _statement_text(consumed, source)
+        Category.SEMICOLON, _statement_span(consumed), _statement_text(consumed, lines)
     )
 
 
@@ -157,6 +155,8 @@ def parse(tokens, source: str = "") -> ParseOutcome:
     lexical diagnostics themselves (check() does). The optional source lets
     missing-terminator diagnostics quote the statement verbatim."""
     stream = TokenStream(tokens)
+    # Split once per parse; a split per diagnostic makes broken input quadratic.
+    lines = source.splitlines()
     statements: list[Statement] = []
     diagnostics: list[Diagnostic] = []
     while stream.peek().kind is not TokenKind.END:
@@ -165,7 +165,7 @@ def parse(tokens, source: str = "") -> ParseOutcome:
             diagnostics.append(Diagnostic(Category.COMMAND, tok.span, tok.text))
             _recover(stream)
             continue
-        statement, diag = _parse_statement(stream, source)
+        statement, diag = _parse_statement(stream, lines)
         if diag is not None:
             diagnostics.append(diag)
             _recover(stream)
@@ -190,11 +190,15 @@ def validate(program: Program) -> list[Diagnostic]:
 def check(source: str) -> ParseOutcome:
     """The single verification entry point: lex, parse, and validate, with
     all diagnostics merged in source order. Zero diagnostics means the
-    returned program is verified and safe for code generation and execution."""
+    returned program is verified and safe for code generation and execution;
+    check then sets its verified mark, which nothing else sets, so
+    downstream code trusts it instead of verifying again."""
     lexed = lex(source)
     parsed = parse(lexed.tokens, source)
     semantic = validate(parsed.program)
     merged = sorted(
         [*lexed.diagnostics, *parsed.diagnostics, *semantic], key=source_order
     )
+    if not merged:
+        object.__setattr__(parsed.program, "verified", True)
     return ParseOutcome(parsed.program, tuple(merged))

@@ -3,15 +3,17 @@
 The robot is a point with a heading and an independently panning/tilting
 camera. Execution is pure: each step maps (state, statement) to a new state,
 and every executed statement appends a trace record, so a state carries its
-own execution history. No physics, collision, or sensing is modeled; perceive
-sets a flag.
+own execution history. run gives the same result as folding step over the
+program but builds the trace once, so its cost is linear in the program's
+length. Programs are taken as verified: run does not check them again. No
+physics, collision, or sensing is modeled; perceive sets a flag.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .syntax import IDENTIFIER_RE, Number, Program, Statement, render_statement
@@ -147,9 +149,9 @@ def _object_position(world: World, statement: Statement, state: RobotState) -> t
         raise UnknownObject(f"unknown object '{name}'", statement, state) from None
 
 
-def step(state: RobotState, world: World, statement: Statement) -> RobotState:
-    """Execute one statement. Returns the successor state; raises a SimError
-    subclass (UnknownObject, GraspOutOfRange, HandFull) on failure."""
+def _execute(state: RobotState, world: World, statement: Statement) -> TraceRecord:
+    """The trace record of one statement executed from state; raises a
+    SimError subclass (UnknownObject, GraspOutOfRange, HandFull) on failure."""
     x, y, heading = state.x, state.y, state.heading
     cam_pan, cam_tilt = state.cam_pan, state.cam_tilt
     held, perceived = state.held, state.perceived
@@ -205,20 +207,41 @@ def step(state: RobotState, world: World, statement: Statement) -> RobotState:
     else:  # pragma: no cover - Statement constructor forbids this
         raise SimError(f"unsupported statement {kw!r}", statement, state)
 
-    record = TraceRecord(statement, x, y, heading, cam_pan, cam_tilt, held, perceived)
-    return RobotState(x, y, heading, cam_pan, cam_tilt, held, perceived, state.trace + (record,))
+    return TraceRecord(statement, x, y, heading, cam_pan, cam_tilt, held, perceived)
+
+
+def _state_after(record: TraceRecord, trace: tuple[TraceRecord, ...]) -> RobotState:
+    return RobotState(
+        record.x, record.y, record.heading, record.cam_pan, record.cam_tilt,
+        record.held, record.perceived, trace,
+    )
+
+
+def step(state: RobotState, world: World, statement: Statement) -> RobotState:
+    """Execute one statement. Returns the successor state, whose trace is
+    state's plus one record; raises a SimError subclass (UnknownObject,
+    GraspOutOfRange, HandFull) on failure."""
+    record = _execute(state, world, statement)
+    return _state_after(record, state.trace + (record,))
 
 
 def run(program: Program, world: World, initial: RobotState | None = None) -> RobotState | SimError:
     """Fold step over the program. On failure, returns the SimError (it holds
-    the trace up to the failing statement) instead of raising."""
+    the trace up to the failing statement) instead of raising.
+
+    The records are collected in a list and the trace tuple is built once,
+    so the cost stays linear in the program's length."""
     state = initial if initial is not None else RobotState()
+    records = list(state.trace)
     for statement in program.statements:
         try:
-            state = step(state, world, statement)
+            record = _execute(state, world, statement)
         except SimError as err:
+            err.state = replace(state, trace=tuple(records))
             return err
-    return state
+        records.append(record)
+        state = _state_after(record, ())
+    return replace(state, trace=tuple(records))
 
 
 def trace_to_jsonl(state: RobotState) -> str:

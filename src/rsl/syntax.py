@@ -127,10 +127,16 @@ class Statement:
 @dataclass(frozen=True)
 class Program:
     """Ordered statements plus the source they came from. Equality is
-    structural over the statements; source is provenance only."""
+    structural over the statements; source is provenance only.
+
+    verified is set only by parser.check, on a program it found no
+    diagnostic in. It is not a constructor argument and dataclasses.replace
+    does not copy it, so a program built or changed by hand is unverified.
+    It takes no part in equality or repr."""
 
     statements: tuple[Statement, ...] = ()
     source: str = field(compare=False, default="")
+    verified: bool = field(default=False, init=False, compare=False, repr=False)
 
 
 def render_statement(s: Statement) -> str:

@@ -1,8 +1,10 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+import rsl.codegen as codegen_mod
 from rsl import (
     GenerationError,
     ManifestError,
@@ -13,10 +15,11 @@ from rsl import (
     default_manifest,
     generate,
     load_manifest,
+    render_statement,
 )
 from rsl.syntax import STATEMENT_SCHEMAS
 
-from support import random_program
+from support import random_program, random_statement
 
 
 def manifest_doc():
@@ -157,3 +160,61 @@ def test_module_import_dedup():
     emitted = generate(program, default_manifest())
     assert emitted.count("from robot_interface import") == 1
     assert "from robot_interface import backward, forward\n" in emitted
+
+
+def count_checks(monkeypatch):
+    calls = []
+    original = codegen_mod.check
+
+    def counting(source):
+        calls.append(source)
+        return original(source)
+
+    monkeypatch.setattr(codegen_mod, "check", counting)
+    return calls
+
+
+def test_check_marks_only_verified_programs():
+    assert check("forward 1; perceive;").program.verified
+    assert check("").program.verified
+    assert not check("forward 1; perceive").program.verified
+    assert not check("forward 0;").program.verified
+
+
+def test_mark_is_not_settable_and_not_compared():
+    with pytest.raises(TypeError):
+        Program((), "", True)  # type: ignore[call-arg]
+    checked = check("forward 1;").program
+    built = Program((Statement("forward", (Number(1.0, "1"),)),))
+    assert checked == built and not built.verified
+    assert repr(checked) == repr(Program(checked.statements, checked.source))
+
+
+def test_generate_trusts_checked_program(monkeypatch):
+    program = check("forward 1.5; grasp cup; goto 0, -2;").program
+    calls = count_checks(monkeypatch)
+    emitted = generate(program, default_manifest())
+    assert calls == []
+    assert emitted.endswith('forward(1.5)\ngrasp("cup")\ngoto(0, -2)\n')
+
+
+def test_replaced_program_is_verified_again(monkeypatch):
+    program = check("forward 1; perceive;").program
+    copy = replace(program)
+    assert not copy.verified
+    calls = count_checks(monkeypatch)
+    generate(copy, default_manifest())
+    assert calls == ["forward 1;\nperceive;"]
+    edited = replace(program, statements=(Statement("forward", (Number(0.0, "0"),)),))
+    with pytest.raises(GenerationError, match="not verified"):
+        generate(edited, default_manifest())
+
+
+def test_trusted_and_rechecked_generation_agree():
+    rng = random.Random(7)
+    manifest = default_manifest()
+    for _ in range(100):
+        statements = tuple(random_statement(rng) for _ in range(rng.randrange(8)))
+        checked = check("\n".join(render_statement(s) for s in statements)).program
+        assert checked.verified
+        assert generate(checked, manifest) == generate(Program(statements), manifest)

@@ -1,6 +1,7 @@
+import math
 import random
 
-from rsl import Category, TokenKind, lex
+from rsl import Category, RobotState, TokenKind, check, default_world, lex, run
 from rsl.syntax import KEYWORDS
 
 from support import random_junk_source
@@ -73,6 +74,30 @@ def test_trailing_dot_number_is_illegal():
     out = lex("forward 1.;")
     assert categories(out) == [Category.NUMBER]
     assert out.diagnostics[0].token_text == "1."
+
+
+def test_non_finite_literal_is_illegal_number():
+    huge = "9" * 400
+    out = lex(f"forward {huge};")
+    assert categories(out) == [Category.NUMBER]
+    assert out.diagnostics[0].message == "The number is illegal."
+    assert out.diagnostics[0].token_text == huge
+    # The recovered token still has a finite value, so one mistake stays one
+    # diagnostic (no positivity error on top).
+    assert math.isfinite(out.tokens[1].value)
+    outcome = check(f"forward {huge};")
+    assert [d.category for d in outcome.diagnostics] == [Category.NUMBER]
+    assert not outcome.program.verified
+    assert [d.category for d in check(f"goto -{huge}, 1;").diagnostics] == [Category.NUMBER]
+
+
+def test_largest_finite_literal_verifies_and_runs_finite():
+    literal = str(int(1.7e308))
+    outcome = check(f"forward {literal};")
+    assert not outcome.diagnostics
+    final = run(outcome.program, default_world())
+    assert isinstance(final, RobotState)
+    assert math.isfinite(final.x) and math.isfinite(final.y)
 
 
 def test_digit_led_identifier():

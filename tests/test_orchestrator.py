@@ -1,5 +1,10 @@
+import json
+from dataclasses import replace
+from importlib import resources
+
 import pytest
 
+import rsl.orchestrator as orchestrator_mod
 from rsl import (
     Category,
     ModelConfig,
@@ -73,6 +78,32 @@ def test_extract_from_fence_with_language_tag():
 def test_extract_concatenates_multiple_fences():
     text = "```\nforward 1;\n```\nand then\n```\ngrasp cup;\n```"
     assert extract_rsl(text) == "forward 1;\ngrasp cup;"
+
+
+def test_extract_single_line_fence_with_language_tag():
+    assert extract_rsl("```rsl forward 1;```") == "forward 1;"
+
+
+def test_extract_single_line_fence_without_language_tag():
+    # A leading command keyword is code, not a language tag.
+    assert extract_rsl("```forward 1;```") == "forward 1;"
+    assert extract_rsl("```rsl goto 1, 2; perceive;``` done") == "goto 1, 2; perceive;"
+    assert extract_rsl("```perceive; forward 1;```") == "perceive; forward 1;"
+
+
+def test_extract_fence_opening_with_code_keeps_first_statement():
+    assert extract_rsl("```forward 1;\nperceive;\n```") == "forward 1;\nperceive;"
+    assert extract_rsl("```rsl forward 1;\nperceive;\n```") == "forward 1;\nperceive;"
+
+
+def test_extract_skips_stray_fence_in_prose():
+    text = "Use ``` to fence. ```rsl\nforward 1;\n```"
+    assert extract_rsl(text) == "forward 1;"
+
+
+def test_extract_single_line_fence_keeps_case_variant_keyword():
+    # The lexer diagnoses and recovers FORWARD; extraction must not eat it.
+    assert extract_rsl("```FORWARD 1;```") == "FORWARD 1;"
 
 
 def test_extract_keyword_lines_only():
@@ -201,3 +232,65 @@ def test_verified_program_recheck_idempotent():
     outcome = translate(parts(), CONFIG, 5, transport=transport)
     assert outcome.verified
     assert not check(render_program(outcome.program)).diagnostics
+
+
+def count_checks(monkeypatch):
+    calls = []
+    original = orchestrator_mod.check
+
+    def counting(source):
+        calls.append(source)
+        return original(source)
+
+    monkeypatch.setattr(orchestrator_mod, "check", counting)
+    return calls
+
+
+def test_prompt_parts_keep_verified_shot_programs():
+    template = make_prompt_parts("t")
+    for _, shot_rsl in template.shots:
+        program = orchestrator_mod._verified_shot(shot_rsl)
+        assert program.verified
+        assert program == check(shot_rsl).program
+
+
+def test_per_task_replace_does_not_recheck_shots(monkeypatch):
+    template = make_prompt_parts("t")
+    calls = count_checks(monkeypatch)
+    per_task = replace(template, task="Approach the door.")
+    assert calls == []
+    assert per_task.task == "Approach the door."
+    assert per_task.shots == template.shots
+    assert build_prompt(per_task)[1:-1] == build_prompt(template)[1:-1]
+
+
+def test_template_construction_checks_each_shot_once(monkeypatch):
+    orchestrator_mod._verified_shot.cache_clear()
+    calls = count_checks(monkeypatch)
+    template = make_prompt_parts("t")
+    assert calls == [shot_rsl for _, shot_rsl in template.shots]
+
+
+def test_replacing_shots_verifies_the_new_ones(monkeypatch):
+    template = make_prompt_parts("t")
+    orchestrator_mod._verified_shot.cache_clear()
+    calls = count_checks(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not verify"):
+            replace(template, shots=(("Broken task", "approach table"),))
+    replace(template, shots=(("Grasp the cup.", "grasp cup;"),))
+    assert calls == ["approach table", "approach table", "grasp cup;"]
+
+
+def test_build_prompt_sends_shipped_data_verbatim():
+    # Derived from the data files directly, not through rsl's loaders.
+    data = resources.files("rsl.data")
+    system = data.joinpath("system_message.txt").read_text("utf-8")
+    shots = json.loads(data.joinpath("shots.json").read_text("utf-8"))
+    expected = [("system", system)]
+    for entry in shots:
+        expected += [("user", entry["task"]), ("assistant", entry["rsl"])]
+    expected.append(("user", "Approach the table."))
+    template = make_prompt_parts("placeholder")
+    messages = build_prompt(replace(template, task="Approach the table."))
+    assert [(m.role, m.content) for m in messages] == expected

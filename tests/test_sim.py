@@ -23,7 +23,7 @@ from rsl import (
 )
 from rsl.sim import wrap_heading
 
-from support import headings_close, oracle_execute, statement_as_tuple
+from support import headings_close, oracle_execute, random_statement, statement_as_tuple
 
 WORLD = World({"box": (1.0, 0.5), "crate": (2.0, -1.0), "bin": (0.2, 0.2)})
 
@@ -245,3 +245,55 @@ def test_trace_export_is_line_delimited():
     assert first["perceived"] is False
     second = json_mod.loads(lines[1])
     assert second["perceived"] is True
+
+
+def fold_step(prog, world, initial):
+    """run's reference: a left fold of the public step."""
+    state = initial
+    for statement in prog.statements:
+        try:
+            state = step(state, world, statement)
+        except SimError as err:
+            return err
+    return state
+
+
+def assert_run_equals_fold(prog, world, initial=None):
+    result = run(prog, world, initial)
+    expected = fold_step(prog, world, initial if initial is not None else RobotState())
+    if isinstance(expected, SimError):
+        assert type(result) is type(expected)
+        assert str(result) == str(expected)
+        assert result.statement == expected.statement
+        assert result.state == expected.state
+        assert len(result.state.trace) == len(expected.state.trace)
+    else:
+        assert result == expected
+
+
+def test_run_equals_fold_of_step_over_fuzzed_programs():
+    rng = random.Random(11)
+    pool = ("box", "crate", "bin", "ghost")
+    failures = 0
+    for _ in range(400):
+        statements = []
+        for _ in range(rng.randrange(12)):
+            statement = random_statement(rng)
+            if statement.keyword in ("approach", "grasp"):
+                statement = Statement(statement.keyword, (rng.choice(pool),))
+            statements.append(statement)
+        initial = None
+        if rng.random() < 0.3:
+            initial = step(RobotState(x=rng.uniform(-2, 2)), WORLD, stmt("forward", 1))
+        assert_run_equals_fold(Program(tuple(statements)), WORLD, initial)
+        failures += isinstance(run(Program(tuple(statements)), WORLD, initial), SimError)
+    # The fuzz reaches both outcomes.
+    assert 0 < failures < 400
+
+
+def test_run_error_state_keeps_initial_trace():
+    initial = step(RobotState(), WORLD, stmt("perceive"))
+    result = run(program("forward 1; grasp ghost;"), WORLD, initial)
+    assert isinstance(result, UnknownObject)
+    assert [r.statement.keyword for r in result.state.trace] == ["perceive", "forward"]
+    assert result.state.x == 1.0
