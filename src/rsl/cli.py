@@ -61,6 +61,15 @@ def _read_source(path: str) -> str | None:
         return None
 
 
+def _print_json(doc) -> None:
+    print(json.dumps(doc, indent=2, allow_nan=False))
+
+
+def _print_diagnostics(diagnostics) -> None:
+    for diagnostic in diagnostics:
+        print(render(diagnostic), file=sys.stderr)
+
+
 def _diagnostics_json(diagnostics) -> list[dict]:
     return [
         {
@@ -132,19 +141,15 @@ def cmd_check(args) -> int:
         return EXIT_INPUT
     outcome = check(source)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": not outcome.diagnostics,
-                    "statements": len(outcome.program.statements),
-                    "diagnostics": _diagnostics_json(outcome.diagnostics),
-                },
-                indent=2,
-            )
+        _print_json(
+            {
+                "ok": not outcome.diagnostics,
+                "statements": len(outcome.program.statements),
+                "diagnostics": _diagnostics_json(outcome.diagnostics),
+            }
         )
     else:
-        for diagnostic in outcome.diagnostics:
-            print(render(diagnostic), file=sys.stderr)
+        _print_diagnostics(outcome.diagnostics)
     return EXIT_DOMAIN if outcome.diagnostics else EXIT_OK
 
 
@@ -157,16 +162,15 @@ def cmd_compile(args) -> int:
         return EXIT_INPUT
     outcome = check(source)
     if outcome.diagnostics:
-        for diagnostic in outcome.diagnostics:
-            print(render(diagnostic), file=sys.stderr)
+        _print_diagnostics(outcome.diagnostics)
         return EXIT_DOMAIN
     emitted = generate(outcome.program, manifest)
     if args.output:
         Path(args.output).write_text(emitted, encoding="utf-8")
         if args.json:
-            print(json.dumps({"ok": True, "output": args.output}, indent=2))
+            _print_json({"ok": True, "output": args.output})
     elif args.json:
-        print(json.dumps({"ok": True, "program": emitted}, indent=2))
+        _print_json({"ok": True, "program": emitted})
     else:
         sys.stdout.write(emitted)
     return EXIT_OK
@@ -181,8 +185,7 @@ def cmd_run(args) -> int:
         return EXIT_INPUT
     outcome = check(source)
     if outcome.diagnostics:
-        for diagnostic in outcome.diagnostics:
-            print(render(diagnostic), file=sys.stderr)
+        _print_diagnostics(outcome.diagnostics)
         return EXIT_DOMAIN
     result = run(outcome.program, world)
     failed = isinstance(result, SimError)
@@ -190,24 +193,21 @@ def cmd_run(args) -> int:
     trace_path = args.trace or (args.source + ".trace.jsonl")
     Path(trace_path).write_text(trace_to_jsonl(state), encoding="utf-8")
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": not failed,
-                    "error": str(result) if failed else None,
-                    "error_kind": type(result).__name__ if failed else None,
-                    "x": state.x,
-                    "y": state.y,
-                    "heading": state.heading,
-                    "cam_pan": state.cam_pan,
-                    "cam_tilt": state.cam_tilt,
-                    "held": state.held,
-                    "perceived": state.perceived,
-                    "executed": len(state.trace),
-                    "trace": trace_path,
-                },
-                indent=2,
-            )
+        _print_json(
+            {
+                "ok": not failed,
+                "error": str(result) if failed else None,
+                "error_kind": type(result).__name__ if failed else None,
+                "x": state.x,
+                "y": state.y,
+                "heading": state.heading,
+                "cam_pan": state.cam_pan,
+                "cam_tilt": state.cam_tilt,
+                "held": state.held,
+                "perceived": state.perceived,
+                "executed": len(state.trace),
+                "trace": trace_path,
+            }
         )
     elif failed:
         print(f"{type(result).__name__}: {result}", file=sys.stderr)
@@ -247,23 +247,19 @@ def cmd_translate(args) -> int:
         )
     last_diagnostics = outcome.raw_history[-1][1] if outcome.raw_history else ()
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "verified": outcome.verified,
-                    "passes": outcome.passes,
-                    "program": render_program(outcome.program)
-                    if outcome.program is not None
-                    else None,
-                    "diagnostics": _diagnostics_json(last_diagnostics),
-                },
-                indent=2,
-            )
+        _print_json(
+            {
+                "verified": outcome.verified,
+                "passes": outcome.passes,
+                "program": render_program(outcome.program)
+                if outcome.program is not None
+                else None,
+                "diagnostics": _diagnostics_json(last_diagnostics),
+            }
         )
     if not outcome.verified:
         if not args.json:
-            for diagnostic in last_diagnostics:
-                print(render(diagnostic), file=sys.stderr)
+            _print_diagnostics(last_diagnostics)
             print(f"not verified after {outcome.passes} pass(es)", file=sys.stderr)
         return EXIT_DOMAIN
     if not args.json:

@@ -15,7 +15,7 @@ from importlib import resources
 
 from .diagnostics import render
 from .parser import check
-from .syntax import Number, Program, STATEMENT_SCHEMAS, render_program
+from .syntax import IDENTIFIER_RE, Number, Program, STATEMENT_SCHEMAS, render_program
 
 
 class ManifestError(ValueError):
@@ -57,7 +57,9 @@ def load_manifest(text: str) -> SkillManifest:
 
     Rejects malformed JSON, duplicate or unknown keywords, parameter schemas
     that do not match the fixed statement forms, and any missing keyword
-    (naming the absentees).
+    (naming the absentees). Module and function names go into the generated
+    source verbatim, so a function must be an identifier and a module
+    dot-separated identifiers.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
@@ -89,6 +91,14 @@ def load_manifest(text: str) -> SkillManifest:
             raise ManifestError(f"binding for {keyword!r} needs a module name")
         if not isinstance(function, str) or not function:
             raise ManifestError(f"binding for {keyword!r} needs a function name")
+        if not all(IDENTIFIER_RE.match(part) for part in module.split(".")):
+            raise ManifestError(
+                f"binding for {keyword!r} has an invalid module name {module!r}"
+            )
+        if not IDENTIFIER_RE.match(function):
+            raise ManifestError(
+                f"binding for {keyword!r} has an invalid function name {function!r}"
+            )
         if not isinstance(params, list):
             raise ManifestError(f"binding for {keyword!r} needs a params list")
         expected = list(STATEMENT_SCHEMAS[keyword])

@@ -408,7 +408,7 @@ def report_to_json(report: EvalReport) -> str:
             for r in report.per_task
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def report_to_csv(report: EvalReport) -> str:

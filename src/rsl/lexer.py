@@ -1,4 +1,9 @@
-"""Hand-written scanner: source text to a token stream.
+"""Table-driven scanner: source text to a token stream.
+
+One master regular expression, _TOKEN_RE, names every lexeme class; lex walks
+its matches in order and dispatches on the class that matched, so every
+character of the source belongs to exactly one match. Line and column come
+from the offset of the last newline seen.
 
 Lexical problems never abort the scan. Each one becomes a diagnostic in one of
 the five lexical categories, and where the intended token is obvious the
@@ -20,21 +25,36 @@ cascade, which is what the repair loop needs.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 
 from .diagnostics import Category, Diagnostic
 from .syntax import KEYWORDS, NUMBER_RE, SourceSpan, Token, TokenKind
 
-_WHITESPACE = " \t\r"
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+# Alternatives are tried in order at each position. Character classes are
+# spelled out in ASCII because \w and \d also match letters and digits of
+# other scripts, which are illegal characters here.
+_TOKEN_RE = re.compile(
+    r"(?P<skip>[ \t\r]+|//[^\n]*)"
+    r"|(?P<newline>\n)"
+    # The search for */ starts after the /*, so "/*/" does not close.
+    r"|(?P<comment>/\*.*?\*/)"
+    # Unterminated: diagnose the opening line, swallow the rest of the input.
+    r"|(?P<unclosed>/\*[^\n]*).*"
+    # A lone / opens nothing valid; the rest of its line is presumed a comment.
+    r"|(?P<slash>/[^\n]*)"
+    r"|(?P<semicolon>;)"
+    r"|(?P<comma>,)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    # Letters and dots are absorbed so that "123.23.45" and "3apple" each
+    # become a single diagnostic, not several tokens.
+    r"|(?P<blob>-?[0-9][A-Za-z0-9_.]*)"
+    r"|(?P<char>.)",
+    re.DOTALL,
 )
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-# Characters absorbed into a malformed number/identifier blob so that e.g.
-# "123.23.45" and "3apple" each become a single diagnostic, not two tokens.
-_BLOB_CHARS = _IDENT_CONT | frozenset(".")
+_LETTER_RE = re.compile(r"[A-Za-z_]")
+_NUMBER_PREFIX_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -43,137 +63,14 @@ class LexOutcome:
     diagnostics: tuple[Diagnostic, ...]
 
 
-class _Scanner:
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.i = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[Token] = []
-        self.diagnostics: list[Diagnostic] = []
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.i >= len(self.source):
-                return
-            if self.source[self.i] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.i += 1
-
-    def _span(self, text: str) -> SourceSpan:
-        return SourceSpan(self.line, self.col, self.col + max(len(text), 1) - 1)
-
-    def _emit(self, kind: TokenKind, text: str, **extra) -> None:
-        self.tokens.append(Token(kind, text, self._span(text), **extra))
-        self._advance(len(text))
-
-    def _report(self, category: Category, text: str, consume: int) -> None:
-        self.diagnostics.append(Diagnostic(category, self._span(text), text))
-        self._advance(consume)
-
-    def _rest_of_line(self) -> str:
-        end = self.source.find("\n", self.i)
-        if end == -1:
-            end = len(self.source)
-        return self.source[self.i : end]
-
-    def _take(self, allowed: frozenset[str]) -> str:
-        j = self.i
-        while j < len(self.source) and self.source[j] in allowed:
-            j += 1
-        return self.source[self.i : j]
-
-    def _scan_comment(self) -> None:
-        nxt = self.source[self.i + 1] if self.i + 1 < len(self.source) else ""
-        if nxt == "/":
-            self._advance(len(self._rest_of_line()))
-        elif nxt == "*":
-            end = self.source.find("*/", self.i + 2)
-            if end == -1:
-                # Unterminated block comment: diagnose its opening line, then
-                # treat everything remaining as the intended comment.
-                text = self._rest_of_line()
-                self.diagnostics.append(
-                    Diagnostic(Category.COMMENT, self._span(text), text)
-                )
-                self._advance(len(self.source) - self.i)
-            else:
-                self._advance(end + 2 - self.i)
-        else:
-            # A lone '/' opens nothing valid; assume the rest of the line was
-            # meant to be a comment.
-            text = self._rest_of_line()
-            self._report(Category.COMMENT, text, len(text))
-
-    def _scan_word(self) -> None:
-        word = self._take(_IDENT_CONT)
-        if word in KEYWORDS:
-            self._emit(TokenKind.KEYWORD, word, keyword=word)
-        elif word.lower() in KEYWORDS:
-            self.diagnostics.append(
-                Diagnostic(Category.KEYWORD, self._span(word), word)
-            )
-            self._emit(TokenKind.KEYWORD, word, keyword=word.lower())
-        else:
-            self._emit(TokenKind.IDENTIFIER, word)
-
-    def _scan_number(self) -> None:
-        j = self.i + 1 if self.source[self.i] == "-" else self.i
-        while j < len(self.source) and self.source[j] in _BLOB_CHARS:
-            j += 1
-        blob = self.source[self.i : j]
-        if NUMBER_RE.match(blob) and math.isfinite(value := float(blob)):
-            self._emit(TokenKind.NUMBER, blob, value=value)
-        elif any(c in _IDENT_START for c in blob):
-            self.diagnostics.append(
-                Diagnostic(Category.IDENTIFIER, self._span(blob), blob)
-            )
-            self._emit(TokenKind.IDENTIFIER, blob)
-        else:
-            self.diagnostics.append(
-                Diagnostic(Category.NUMBER, self._span(blob), blob)
-            )
-            self._emit(TokenKind.NUMBER, blob, value=_best_effort_value(blob))
-
-    def scan(self) -> LexOutcome:
-        src = self.source
-        while self.i < len(src):
-            c = src[self.i]
-            if c in _WHITESPACE or c == "\n":
-                self._advance()
-            elif c == ";":
-                self._emit(TokenKind.SEMICOLON, c)
-            elif c == ",":
-                self._emit(TokenKind.COMMA, c)
-            elif c == "/":
-                self._scan_comment()
-            elif c in _IDENT_START:
-                self._scan_word()
-            elif c in _DIGITS:
-                self._scan_number()
-            elif c == "-" and self.i + 1 < len(src) and src[self.i + 1] in _DIGITS:
-                self._scan_number()
-            else:
-                self._report(Category.CHARACTER, c, 1)
-        self.tokens.append(
-            Token(TokenKind.END, "", SourceSpan(self.line, self.col, self.col))
-        )
-        return LexOutcome(tuple(self.tokens), tuple(self.diagnostics))
-
-
 def _best_effort_value(blob: str) -> float:
-    """Longest valid numeric prefix of a malformed number, 0.0 if none. A
-    prefix too large for a float gives the largest finite float of its sign."""
-    for end in range(len(blob), 0, -1):
-        if NUMBER_RE.match(blob[:end]):
-            value = float(blob[:end])
-            if math.isinf(value):
-                return math.copysign(sys.float_info.max, value)
-            return value
-    return 0.0
+    """Longest valid numeric prefix of a malformed number (which starts with
+    a digit or a minus and a digit). A prefix too large for a float gives
+    the largest finite float of its sign."""
+    value = float(_NUMBER_PREFIX_RE.match(blob).group())
+    if math.isinf(value):
+        return math.copysign(sys.float_info.max, value)
+    return value
 
 
 def lex(source: str) -> LexOutcome:
@@ -182,4 +79,51 @@ def lex(source: str) -> LexOutcome:
     Comments (// to end of line, /* ... */) and whitespace produce no tokens.
     The token stream always ends with a single END token. Never raises.
     """
-    return _Scanner(source).scan()
+    tokens: list[Token] = []
+    diagnostics: list[Diagnostic] = []
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        start = m.start()
+        if kind == "newline":
+            line, line_start = line + 1, start + 1
+            continue
+        text = m.group(kind)
+        col = start - line_start + 1
+        span = SourceSpan(line, col, col + len(text) - 1)
+        if kind == "semicolon":
+            tokens.append(Token(TokenKind.SEMICOLON, text, span))
+        elif kind == "comma":
+            tokens.append(Token(TokenKind.COMMA, text, span))
+        elif kind == "word":
+            keyword = text.lower()
+            if keyword not in KEYWORDS:
+                tokens.append(Token(TokenKind.IDENTIFIER, text, span))
+            else:
+                if keyword != text:
+                    diagnostics.append(Diagnostic(Category.KEYWORD, span, text))
+                tokens.append(Token(TokenKind.KEYWORD, text, span, keyword=keyword))
+        elif kind == "blob":
+            if NUMBER_RE.match(text) and math.isfinite(value := float(text)):
+                tokens.append(Token(TokenKind.NUMBER, text, span, value=value))
+            elif _LETTER_RE.search(text):
+                diagnostics.append(Diagnostic(Category.IDENTIFIER, span, text))
+                tokens.append(Token(TokenKind.IDENTIFIER, text, span))
+            else:
+                diagnostics.append(Diagnostic(Category.NUMBER, span, text))
+                value = _best_effort_value(text)
+                tokens.append(Token(TokenKind.NUMBER, text, span, value=value))
+        elif kind == "char":
+            diagnostics.append(Diagnostic(Category.CHARACTER, span, text))
+        else:  # comment, unclosed or slash; a block comment may span lines
+            if kind != "comment":
+                diagnostics.append(Diagnostic(Category.COMMENT, span, text))
+            newlines = source.count("\n", start, m.end())
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", start, m.end()) + 1
+    col = len(source) - line_start + 1
+    tokens.append(Token(TokenKind.END, "", SourceSpan(line, col, col)))
+    return LexOutcome(tuple(tokens), tuple(diagnostics))

@@ -14,7 +14,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import requests
 
@@ -104,10 +104,12 @@ class HttpTransport:
 
 
 class ScriptedTransport:
-    """Replays a fixed list of assistant responses in order and records every
-    request's messages. Exhausting the script is a TransportError."""
+    """Replays a fixed sequence of assistant responses, taken from any
+    iterable, in order and records every request's messages. Exhausting the
+    script is a TransportError."""
 
-    def __init__(self, responses: Sequence[str]) -> None:
+    def __init__(self, responses: Iterable[str]) -> None:
+        responses = list(responses)
         if not responses:
             raise ValueError("scripted transport needs at least one response")
         self._queue = deque(responses)
@@ -121,10 +123,6 @@ class ScriptedTransport:
                 raise TransportError("scripted transport exhausted")
             text = self._queue.popleft()
         return {"choices": [{"message": {"role": "assistant", "content": text}}]}
-
-
-def scripted_transport(responses: Sequence[str]) -> ScriptedTransport:
-    return ScriptedTransport(list(responses))
 
 
 def _extract_content(data: dict) -> str:

@@ -171,6 +171,7 @@ def transcript_to_json(transcript: Sequence[ChatMessage]) -> str:
         [{"role": m.role, "content": m.content} for m in transcript],
         indent=2,
         sort_keys=True,
+        allow_nan=False,
     )
 
 

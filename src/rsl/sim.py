@@ -151,32 +151,42 @@ def _object_position(world: World, statement: Statement, state: RobotState) -> t
 
 def _execute(state: RobotState, world: World, statement: Statement) -> TraceRecord:
     """The trace record of one statement executed from state; raises a
-    SimError subclass (UnknownObject, GraspOutOfRange, HandFull) on failure."""
+    SimError subclass (UnknownObject, GraspOutOfRange, HandFull) on failure,
+    and SimError itself when finite literals would overflow the position or
+    a camera angle to a non-finite value. Only the fields a statement
+    changes are checked."""
     x, y, heading = state.x, state.y, state.heading
     cam_pan, cam_tilt = state.cam_pan, state.cam_tilt
     held, perceived = state.held, state.perceived
     kw = statement.keyword
+    finite = True
 
     if kw == "forward":
         d = _magnitude(statement)
         x += d * math.cos(heading)
         y += d * math.sin(heading)
+        finite = math.isfinite(x) and math.isfinite(y)
     elif kw == "backward":
         d = _magnitude(statement)
         x -= d * math.cos(heading)
         y -= d * math.sin(heading)
+        finite = math.isfinite(x) and math.isfinite(y)
     elif kw == "turnleft":
         heading = wrap_heading(heading + _magnitude(statement))
     elif kw == "turnright":
         heading = wrap_heading(heading - _magnitude(statement))
     elif kw == "lookup":
         cam_tilt += _magnitude(statement)
+        finite = math.isfinite(cam_tilt)
     elif kw == "lookdown":
         cam_tilt -= _magnitude(statement)
+        finite = math.isfinite(cam_tilt)
     elif kw == "lookleft":
         cam_pan += _magnitude(statement)
+        finite = math.isfinite(cam_pan)
     elif kw == "lookright":
         cam_pan -= _magnitude(statement)
+        finite = math.isfinite(cam_pan)
     elif kw == "perceive":
         perceived = True
     elif kw == "goto":
@@ -207,6 +217,8 @@ def _execute(state: RobotState, world: World, statement: Statement) -> TraceReco
     else:  # pragma: no cover - Statement constructor forbids this
         raise SimError(f"unsupported statement {kw!r}", statement, state)
 
+    if not finite:
+        raise SimError(f"'{kw}' would leave the pose non-finite", statement, state)
     return TraceRecord(statement, x, y, heading, cam_pan, cam_tilt, held, perceived)
 
 
@@ -219,8 +231,8 @@ def _state_after(record: TraceRecord, trace: tuple[TraceRecord, ...]) -> RobotSt
 
 def step(state: RobotState, world: World, statement: Statement) -> RobotState:
     """Execute one statement. Returns the successor state, whose trace is
-    state's plus one record; raises a SimError subclass (UnknownObject,
-    GraspOutOfRange, HandFull) on failure."""
+    state's plus one record; raises SimError or one of its subclasses
+    (UnknownObject, GraspOutOfRange, HandFull) on failure."""
     record = _execute(state, world, statement)
     return _state_after(record, state.trace + (record,))
 
@@ -261,6 +273,7 @@ def trace_to_jsonl(state: RobotState) -> str:
                     "perceived": record.perceived,
                 },
                 sort_keys=True,
+                allow_nan=False,
             )
         )
     return "\n".join(lines) + ("\n" if lines else "")

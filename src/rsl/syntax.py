@@ -68,7 +68,6 @@ class TokenKind(Enum):
     NUMBER = "number"
     COMMA = "comma"
     SEMICOLON = "semicolon"
-    COMMENT = "comment"
     END = "end"
 
 

@@ -14,13 +14,13 @@ from rsl import (
     ModelConfig,
     Program,
     RobotState,
+    ScriptedTransport,
     SimError,
     World,
     check,
     make_prompt_parts,
     render_program,
     run,
-    scripted_transport,
     translate,
 )
 from rsl.cli import main
@@ -234,7 +234,7 @@ def test_criterion_5_simulator_oracle_equivalence():
 def test_criterion_6_loop_determinism():
     failures = []
     config = ModelConfig(base_url="http://offline.invalid", model_name="scripted")
-    transport = scripted_transport(["approach table", "approach table;"])
+    transport = ScriptedTransport(["approach table", "approach table;"])
     outcome = translate(
         make_prompt_parts("Approach the table.", zero_shot=True),
         config,

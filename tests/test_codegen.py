@@ -70,6 +70,32 @@ def test_unknown_keyword_rejected():
         load_manifest(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "field, name",
+    [
+        ("module", "os\nimport shutil; shutil.rmtree('/tmp/x')  #"),
+        ("module", "robot_interface."),
+        ("module", "robot..arm"),
+        ("function", "forward(); import os  #"),
+        ("function", "robot.forward"),
+        ("function", "9lives"),
+    ],
+)
+def test_binding_names_must_be_identifiers(field, name):
+    doc = manifest_doc()
+    doc["bindings"]["forward"][field] = name
+    with pytest.raises(ManifestError, match="forward"):
+        load_manifest(json.dumps(doc))
+
+
+def test_dotted_module_name_accepted():
+    doc = manifest_doc()
+    doc["bindings"]["forward"]["module"] = "robots.arm_v2"
+    program = check("forward 1;").program
+    emitted = generate(program, load_manifest(json.dumps(doc)))
+    assert emitted == "from robots.arm_v2 import forward\n\nforward(1)\n"
+
+
 def test_duplicate_keyword_rejected():
     doc = json.dumps(manifest_doc())
     duplicated = doc.replace(

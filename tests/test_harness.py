@@ -8,6 +8,7 @@ from rsl import (
     ModelConfig,
     OracleTransport,
     RobotState,
+    ScriptedTransport,
     TaskExpectation,
     UnknownObject,
     check,
@@ -20,7 +21,6 @@ from rsl import (
     report_to_csv,
     report_to_json,
     run,
-    scripted_transport,
 )
 from rsl.harness import GROUP_SIZES, _load_oracle_programs
 
@@ -177,7 +177,7 @@ def test_csv_shape():
 def test_transport_failure_recorded_not_raised():
     # One reply, then exhaustion: the first task may or may not verify, and
     # every later task records a failure with pass = max_passes.
-    transport = scripted_transport(["nonsense"])
+    transport = ScriptedTransport(["nonsense"])
     report = evaluate(
         load_default_tasks(), CONFIG, template(), default_world(),
         max_passes=3, transport=transport,

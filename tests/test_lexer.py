@@ -4,7 +4,7 @@ import random
 from rsl import Category, RobotState, TokenKind, check, default_world, lex, run
 from rsl.syntax import KEYWORDS
 
-from support import random_junk_source
+from support import ReferenceScanner, random_junk_source
 
 
 def kinds(outcome):
@@ -204,3 +204,35 @@ def test_token_spans_do_not_overlap():
         assert (left.line, left.col_end) < (right.line, right.col_start) or (
             left.line < right.line
         )
+
+
+# Inputs where a regular-expression scanner most easily drifts from the
+# character-at-a-time one.
+LEXER_EDGE_CASES = (
+    "/*/ forward 1;",  # the search for */ starts after the /*
+    "/*/ x */ forward 1;",
+    "/**/forward 1;",
+    "/* one\ntwo\n */ forward 1;\nperceive;",
+    "forward 1;\n  /* never closed\nforward 2;\n  tail",
+    "/* never closed",
+    "forward 1; / rest of line\nperceive;",
+    "/",
+    "//\n/",
+    "- 1;", "-x;", "-", "--1;", "-.5;", "goto -2, -3.5;",
+    "forward\r 1;\r\nperceive;\r", "\r\r;",
+    "forward \u00e91;", "\u00fcn\u00efcode;", "forward \u0661\u0662;", "\uff41;", "forward \u00b2;",
+    "9" * 400, "forward " + "9" * 400 + ";", "goto -" + "9" * 400 + ", 1;",
+    "9" * 400 + ".5", "9" * 400 + ".5.5", "1." * 50, "1.2.3", "12..3", "-1.", "0.5.", "3apple.5",
+    "1_000", "_9x", "FORWARD 1;", "Forward_ 1;",
+)
+
+
+def test_lexer_matches_reference_scanner():
+    rng = random.Random(20240531)
+    sources = [*LEXER_EDGE_CASES, *(random_junk_source(rng) for _ in range(200_000))]
+    mismatches = []
+    for source in sources:
+        out = lex(source)
+        if (out.tokens, out.diagnostics) != ReferenceScanner(source).scan():
+            mismatches.append(source)
+    assert mismatches == []

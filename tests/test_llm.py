@@ -10,7 +10,6 @@ from rsl import (
     TransportError,
     complete,
     config_from_env,
-    scripted_transport,
 )
 
 CONFIG = ModelConfig(base_url="http://test.invalid", model_name="m", api_key="k")
@@ -24,12 +23,12 @@ def msgs(*contents):
 
 
 def test_scripted_echo():
-    transport = scripted_transport(["forward 1;"])
+    transport = ScriptedTransport(["forward 1;"])
     assert complete(CONFIG, msgs("task"), transport=transport) == "forward 1;"
 
 
 def test_scripted_exhaustion_is_transport_error():
-    transport = scripted_transport(["a", "b"])
+    transport = ScriptedTransport(["a", "b"])
     complete(CONFIG, msgs("one"), transport=transport)
     complete(CONFIG, msgs("two"), transport=transport)
     with pytest.raises(TransportError, match="exhausted"):
@@ -37,7 +36,7 @@ def test_scripted_exhaustion_is_transport_error():
 
 
 def test_scripted_records_requests():
-    transport = scripted_transport(["a", "b"])
+    transport = ScriptedTransport(["a", "b"])
     complete(CONFIG, msgs("one"), transport=transport)
     complete(CONFIG, msgs("two"), transport=transport)
     assert len(transport.requests) == 2
@@ -47,6 +46,14 @@ def test_scripted_records_requests():
 def test_scripted_requires_responses():
     with pytest.raises(ValueError):
         ScriptedTransport([])
+
+
+def test_scripted_takes_any_iterable():
+    transport = ScriptedTransport(reply for reply in ("a", "b"))
+    assert complete(CONFIG, msgs("one"), transport=transport) == "a"
+    assert complete(CONFIG, msgs("two"), transport=transport) == "b"
+    with pytest.raises(ValueError):
+        ScriptedTransport(iter([]))
 
 
 class FlakyTransport:

@@ -9,6 +9,7 @@ from rsl import (
     Category,
     ModelConfig,
     PromptParts,
+    ScriptedTransport,
     TranslationAborted,
     build_prompt,
     check,
@@ -16,7 +17,6 @@ from rsl import (
     extract_rsl,
     make_prompt_parts,
     render_program,
-    scripted_transport,
     translate,
 )
 from rsl.diagnostics import render
@@ -130,7 +130,7 @@ def test_extract_passes_junk_through():
 
 
 def test_translate_first_pass_success():
-    transport = scripted_transport(["forward 1;"])
+    transport = ScriptedTransport(["forward 1;"])
     outcome = translate(parts(), CONFIG, max_passes=5, transport=transport)
     assert outcome.verified
     assert outcome.passes == 1
@@ -139,7 +139,7 @@ def test_translate_first_pass_success():
 
 
 def test_translate_repairs_missing_semicolon():
-    transport = scripted_transport(["approach table", "approach table;"])
+    transport = ScriptedTransport(["approach table", "approach table;"])
     outcome = translate(parts("Approach the table."), CONFIG, 5, transport=transport)
     assert outcome.verified
     assert outcome.passes == 2
@@ -157,7 +157,7 @@ def test_translate_repairs_missing_semicolon():
 
 
 def test_translate_exhaustion():
-    transport = scripted_transport(["move 1;", "move 1;", "move 1;"])
+    transport = ScriptedTransport(["move 1;", "move 1;", "move 1;"])
     outcome = translate(parts(), CONFIG, max_passes=3, transport=transport)
     assert not outcome.verified
     assert outcome.passes == 3
@@ -172,7 +172,7 @@ def test_feedback_contains_every_previous_diagnostic_once():
     # Three broken statements, all on keyword-led lines so extraction keeps
     # them: wrong arity, missing terminator, non-positive magnitude.
     broken = "goto 2;\napproach table\nforward -1;"
-    transport = scripted_transport([broken, "forward 1;"])
+    transport = ScriptedTransport([broken, "forward 1;"])
     outcome = translate(parts(), CONFIG, 5, transport=transport)
     assert outcome.verified and outcome.passes == 2
     first_diags = outcome.raw_history[0][1]
@@ -183,7 +183,7 @@ def test_feedback_contains_every_previous_diagnostic_once():
 
 
 def test_transcript_accumulates_across_passes():
-    transport = scripted_transport(["move 1;", "move 2;", "forward 3;"])
+    transport = ScriptedTransport(["move 1;", "move 2;", "forward 3;"])
     outcome = translate(parts(), CONFIG, 5, transport=transport)
     assert outcome.passes == 3
     roles = [m.role for m in outcome.transcript]
@@ -200,13 +200,13 @@ def test_transcript_accumulates_across_passes():
 def test_shot_count_does_not_change_loop_behavior():
     replies = ["approach table", "approach table;"]
     zero = translate(
-        parts("Approach the table."), CONFIG, 5, transport=scripted_transport(replies)
+        parts("Approach the table."), CONFIG, 5, transport=ScriptedTransport(replies)
     )
     shot = translate(
         PromptParts(SYSTEM, (("Grasp the cup.", "grasp cup;"),), "Approach the table."),
         CONFIG,
         5,
-        transport=scripted_transport(replies),
+        transport=ScriptedTransport(replies),
     )
     assert zero.verified == shot.verified
     assert zero.passes == shot.passes
@@ -215,7 +215,7 @@ def test_shot_count_does_not_change_loop_behavior():
 
 
 def test_client_error_annotated_with_pass_number():
-    transport = scripted_transport(["move 1;"])  # exhausted on pass 2
+    transport = ScriptedTransport(["move 1;"])  # exhausted on pass 2
     with pytest.raises(TranslationAborted) as info:
         translate(parts(), CONFIG, 5, transport=transport)
     assert info.value.pass_number == 2
@@ -224,11 +224,11 @@ def test_client_error_annotated_with_pass_number():
 
 def test_max_passes_must_be_positive():
     with pytest.raises(ValueError):
-        translate(parts(), CONFIG, max_passes=0, transport=scripted_transport(["x"]))
+        translate(parts(), CONFIG, max_passes=0, transport=ScriptedTransport(["x"]))
 
 
 def test_verified_program_recheck_idempotent():
-    transport = scripted_transport(["goto 0, 0;\nperceive;"])
+    transport = ScriptedTransport(["goto 0, 0;\nperceive;"])
     outcome = translate(parts(), CONFIG, 5, transport=transport)
     assert outcome.verified
     assert not check(render_program(outcome.program)).diagnostics

@@ -12,7 +12,9 @@ import gc
 import random
 import time
 
-from rsl import check, default_world, render_statement, run
+import pytest
+
+from rsl import Category, check, default_world, lex, render_statement, run
 
 from support import random_statement
 
@@ -60,6 +62,21 @@ def test_check_with_every_semicolon_missing_scales_linearly():
         source = "\n".join(render_statement(s)[:-1] for s in statements(count))
         assert len(check(source).diagnostics) == count
         sources.append(source)
+    assert_linear(check, sources)
+
+
+@pytest.mark.parametrize("fn", [check, lex])
+def test_clean_source_scales_linearly(fn):
+    sources = ["\n".join(map(render_statement, statements(count))) for count in SIZES]
+    assert not check(sources[0]).diagnostics
+    assert_linear(fn, sources)
+
+
+def test_check_of_one_long_malformed_number_scales_linearly():
+    # 10k and 100k "1." pairs: recovering the number's value must not try
+    # every prefix of it.
+    sources = [f"forward {'1.' * pairs};" for pairs in (10_000, 100_000)]
+    assert [d.category for d in check(sources[1]).diagnostics] == [Category.NUMBER]
     assert_linear(check, sources)
 
 

@@ -1,8 +1,11 @@
 import itertools
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsl import (
     GraspOutOfRange,
@@ -22,6 +25,7 @@ from rsl import (
     trace_to_jsonl,
 )
 from rsl.sim import wrap_heading
+from rsl.syntax import STATEMENT_SCHEMAS
 
 from support import headings_close, oracle_execute, random_statement, statement_as_tuple
 
@@ -297,3 +301,80 @@ def test_run_error_state_keeps_initial_trace():
     assert isinstance(result, UnknownObject)
     assert [r.statement.keyword for r in result.state.trace] == ["perceive", "forward"]
     assert result.state.x == 1.0
+
+
+def strict_json(line):
+    """json.loads that rejects the non-standard NaN and Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def assert_finite_pose(state):
+    assert all(
+        math.isfinite(v) for v in (state.x, state.y, state.heading, state.cam_pan, state.cam_tilt)
+    )
+
+
+HUGE = "1" + "0" * 308
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        f"goto {HUGE}, 0; forward {HUGE};",
+        f"turnleft 3.14159; backward {HUGE}; backward {HUGE};",
+        f"lookup {HUGE}; lookup {HUGE};",
+        f"lookdown {HUGE}; lookdown {HUGE};",
+        f"lookleft {HUGE}; lookleft {HUGE};",
+        f"lookright {HUGE}; lookright {HUGE};",
+    ],
+)
+def test_overflow_to_a_non_finite_pose_is_a_sim_error(source):
+    statements = program(source).statements
+    result = run(program(source + " perceive;"), WORLD)
+    assert type(result) is SimError
+    assert result.statement == statements[-1]
+    assert len(result.state.trace) == len(statements) - 1
+    assert_finite_pose(result.state)
+    for line in trace_to_jsonl(result.state).splitlines():
+        strict_json(line)
+
+
+def literals(signed):
+    """Numeric literals of the grammar from 1 to 1.7e308 in magnitude, half
+    of them within a factor 17 of the largest float; negative ones too when
+    signed."""
+    return st.builds(
+        lambda sign, lead, zeros, fraction: f"{sign}{lead}{'0' * zeros}{fraction}",
+        st.sampled_from(["", "-"] if signed else [""]),
+        st.integers(1, 17),
+        st.one_of(st.integers(0, 307), st.just(307)),
+        st.sampled_from(["", ".5", ".25"]),
+    )
+
+
+@st.composite
+def grammar_sources(draw):
+    lines = []
+    for keyword in draw(st.lists(st.sampled_from(sorted(STATEMENT_SCHEMAS)), max_size=12)):
+        args = [
+            draw(literals(keyword == "goto"))
+            if kind == "number"
+            else draw(st.sampled_from(["box", "crate", "bin", "ghost"]))
+            for kind in STATEMENT_SCHEMAS[keyword]
+        ]
+        lines.append(f"{keyword} {', '.join(args)};" if args else f"{keyword};")
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(grammar_sources())
+def test_verified_programs_stay_finite_and_export_strict_json(source):
+    result = run(program(source), WORLD)
+    state = result.state if isinstance(result, SimError) else result
+    assert_finite_pose(state)
+    for line in trace_to_jsonl(state).splitlines():
+        strict_json(line)
