@@ -58,7 +58,7 @@ def message_for(category: Category, token_text: str) -> str:
     return _MESSAGES[category]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     """One error: category, location, the offending lexeme, and the canonical
     sentence. The message is derived from the category when not given."""

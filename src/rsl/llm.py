@@ -31,11 +31,18 @@ class LlmError(Exception):
 
 
 class TransportError(LlmError):
-    """Network failure, timeout, server error, or an exhausted script."""
+    """Network failure, timeout (including HTTP 408), rate limit (429),
+    server error (5xx), or an exhausted script; retried."""
 
 
 class AuthError(LlmError):
     """Credential rejection; never retried."""
+
+
+class RequestRejected(LlmError):
+    """The endpoint refused the request itself (a 4xx status other than
+    401/403/408/429, such as 400, 404 or 422); never retried, since the same
+    request would be refused again."""
 
 
 class ProtocolError(LlmError):
@@ -93,10 +100,13 @@ class HttpTransport:
             raise TransportError(
                 f"request to {url} failed: {type(err).__name__}"
             ) from err
-        if response.status_code in (401, 403):
-            raise AuthError(f"authentication rejected (HTTP {response.status_code})")
-        if response.status_code >= 400:
-            raise TransportError(f"endpoint returned HTTP {response.status_code}")
+        status = response.status_code
+        if status in (401, 403):
+            raise AuthError(f"authentication rejected (HTTP {status})")
+        if status in (408, 429) or status >= 500:
+            raise TransportError(f"endpoint returned HTTP {status}")
+        if status >= 400:
+            raise RequestRejected(f"endpoint rejected the request (HTTP {status})")
         try:
             return response.json()
         except ValueError as err:
@@ -147,7 +157,8 @@ def complete(
 ) -> str:
     """Send one chat completion and return the assistant text of the first
     choice. Transient transport failures are retried up to max_retries with
-    exponential backoff; authentication errors are never retried."""
+    exponential backoff; authentication errors and rejected requests are
+    never retried."""
     if not messages or messages[0].role != "system":
         raise ValueError("messages must start with a system message")
     if any(m.role == "system" for m in messages[1:]):

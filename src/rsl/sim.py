@@ -4,8 +4,10 @@ The robot is a point with a heading and an independently panning/tilting
 camera. Execution is pure: each step maps (state, statement) to a new state,
 and every executed statement appends a trace record, so a state carries its
 own execution history. run gives the same result as folding step over the
-program but builds the trace once, so its cost is linear in the program's
-length. Programs are taken as verified: run does not check them again. No
+program but builds the trace once and one state at the end, so its cost is
+linear in the program's length. Trace records and states are slotted frozen
+dataclasses. Programs are taken as verified: run does not check them again,
+but a hand-built one whose numbers are not finite is a SimError. No
 physics, collision, or sensing is modeled; perceive sets a flag.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from .syntax import IDENTIFIER_RE, Number, Program, Statement, render_statement
@@ -78,7 +80,7 @@ def default_world() -> World:
     return load_world(text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One executed statement and the pose/flags right after it."""
 
@@ -92,7 +94,7 @@ class TraceRecord:
     perceived: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RobotState:
     x: float = 0.0
     y: float = 0.0
@@ -140,7 +142,9 @@ def _magnitude(statement: Statement) -> float:
     return arg.value
 
 
-def _object_position(world: World, statement: Statement, state: RobotState) -> tuple[float, float]:
+def _object_position(
+    world: World, statement: Statement, state: RobotState | TraceRecord
+) -> tuple[float, float]:
     name = statement.args[0]
     assert isinstance(name, str)
     try:
@@ -149,12 +153,13 @@ def _object_position(world: World, statement: Statement, state: RobotState) -> t
         raise UnknownObject(f"unknown object '{name}'", statement, state) from None
 
 
-def _execute(state: RobotState, world: World, statement: Statement) -> TraceRecord:
-    """The trace record of one statement executed from state; raises a
-    SimError subclass (UnknownObject, GraspOutOfRange, HandFull) on failure,
-    and SimError itself when finite literals would overflow the position or
-    a camera angle to a non-finite value. Only the fields a statement
-    changes are checked."""
+def _execute(state: RobotState | TraceRecord, world: World, statement: Statement) -> TraceRecord:
+    """The trace record of one statement executed from state, which may be
+    the previous statement's record, as it holds the same pose fields.
+    Raises a SimError subclass (UnknownObject, GraspOutOfRange, HandFull) on
+    failure, and SimError itself when a turn or a goto is given a non-finite
+    number, or finite literals would overflow the position or a camera angle
+    to a non-finite value. Only the fields a statement changes are checked."""
     x, y, heading = state.x, state.y, state.heading
     cam_pan, cam_tilt = state.cam_pan, state.cam_tilt
     held, perceived = state.held, state.perceived
@@ -171,10 +176,11 @@ def _execute(state: RobotState, world: World, statement: Statement) -> TraceReco
         x -= d * math.cos(heading)
         y -= d * math.sin(heading)
         finite = math.isfinite(x) and math.isfinite(y)
-    elif kw == "turnleft":
-        heading = wrap_heading(heading + _magnitude(statement))
-    elif kw == "turnright":
-        heading = wrap_heading(heading - _magnitude(statement))
+    elif kw == "turnleft" or kw == "turnright":
+        turn = _magnitude(statement)
+        finite = math.isfinite(turn)
+        if finite:
+            heading = wrap_heading(heading + (turn if kw == "turnleft" else -turn))
     elif kw == "lookup":
         cam_tilt += _magnitude(statement)
         finite = math.isfinite(cam_tilt)
@@ -193,6 +199,7 @@ def _execute(state: RobotState, world: World, statement: Statement) -> TraceReco
         first, second = statement.args
         assert isinstance(first, Number) and isinstance(second, Number)
         x, y = first.value, second.value
+        finite = math.isfinite(x) and math.isfinite(y)
     elif kw == "approach":
         ox, oy = _object_position(world, statement, state)
         dx, dy = ox - x, oy - y
@@ -222,10 +229,10 @@ def _execute(state: RobotState, world: World, statement: Statement) -> TraceReco
     return TraceRecord(statement, x, y, heading, cam_pan, cam_tilt, held, perceived)
 
 
-def _state_after(record: TraceRecord, trace: tuple[TraceRecord, ...]) -> RobotState:
+def _state_after(pose: RobotState | TraceRecord, trace: tuple[TraceRecord, ...]) -> RobotState:
     return RobotState(
-        record.x, record.y, record.heading, record.cam_pan, record.cam_tilt,
-        record.held, record.perceived, trace,
+        pose.x, pose.y, pose.heading, pose.cam_pan, pose.cam_tilt,
+        pose.held, pose.perceived, trace,
     )
 
 
@@ -241,19 +248,20 @@ def run(program: Program, world: World, initial: RobotState | None = None) -> Ro
     """Fold step over the program. On failure, returns the SimError (it holds
     the trace up to the failing statement) instead of raising.
 
-    The records are collected in a list and the trace tuple is built once,
-    so the cost stays linear in the program's length."""
-    state = initial if initial is not None else RobotState()
-    records = list(state.trace)
+    The records are collected in a list and each one is the pose the next
+    statement starts from, so the trace tuple and the returned state are
+    built once and the cost stays linear in the program's length."""
+    pose: RobotState | TraceRecord = initial if initial is not None else RobotState()
+    records = list(pose.trace)
     for statement in program.statements:
         try:
-            record = _execute(state, world, statement)
+            record = _execute(pose, world, statement)
         except SimError as err:
-            err.state = replace(state, trace=tuple(records))
+            err.state = _state_after(pose, tuple(records))
             return err
         records.append(record)
-        state = _state_after(record, ())
-    return replace(state, trace=tuple(records))
+        pose = record
+    return _state_after(pose, tuple(records))
 
 
 def trace_to_jsonl(state: RobotState) -> str:

@@ -3,6 +3,11 @@
 Every statement is one command keyword, its parameters, and a terminating
 semicolon. The twelve command forms are fixed; there are no variables,
 expressions, conditionals, or loops.
+
+The lexer makes a few tokens per statement, so the per-token types are cheap
+to build: SourceSpan, Token and Number are immutable named tuples, which also
+compare equal to plain tuples holding the same values. Statement and Program
+are slotted frozen dataclasses. None of them has a per-instance __dict__.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 # Parameter shape of each statement form, keyed by the lowercase concrete
 # keyword. "number" is a numeric literal, "object" an identifier naming a
@@ -43,19 +49,24 @@ IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?\Z")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """1-based source location; col_end is inclusive."""
 
     line: int
     col_start: int
     col_end: int
 
-    def __post_init__(self) -> None:
-        if self.line < 1 or self.col_start < 1 or self.col_end < self.col_start:
-            raise ValueError(
-                f"malformed span {self.line}:{self.col_start}-{self.col_end}"
-            )
+
+def _checked_span(cls, line: int, col_start: int, col_end: int) -> SourceSpan:
+    if line < 1 or col_start < 1 or col_end < col_start:
+        raise ValueError(f"malformed span {line}:{col_start}-{col_end}")
+    return tuple.__new__(cls, (line, col_start, col_end))
+
+
+# NamedTuple forbids defining __new__ in the class body; the check goes in
+# afterwards so that constructing a span stays one Python-level call.
+# _make and _replace build the tuple directly and skip it.
+SourceSpan.__new__ = staticmethod(_checked_span)
 
 
 # Placeholder span for statements constructed in memory rather than parsed.
@@ -71,8 +82,7 @@ class TokenKind(Enum):
     END = "end"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme. text is the verbatim source slice (empty only for END).
 
     keyword carries the canonical lowercase command name for KEYWORD tokens,
@@ -86,8 +96,7 @@ class Token:
     value: float | None = None
 
 
-@dataclass(frozen=True)
-class Number:
+class Number(NamedTuple):
     """Numeric literal. raw is the source text and is authoritative when
     re-rendering, so round trips never drift."""
 
@@ -95,7 +104,7 @@ class Number:
     raw: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     """One command: keyword plus arguments per STATEMENT_SCHEMAS.
 
@@ -123,7 +132,7 @@ class Statement:
                 raise ValueError(f"{self.keyword} expects an object-name argument")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Program:
     """Ordered statements plus the source they came from. Equality is
     structural over the statements; source is provenance only.

@@ -6,6 +6,7 @@ from rsl import (
     ChatMessage,
     ModelConfig,
     ProtocolError,
+    RequestRejected,
     ScriptedTransport,
     TransportError,
     complete,
@@ -201,6 +202,35 @@ def test_http_transport_server_error_retried(monkeypatch):
 
     monkeypatch.setattr(llm_mod.requests, "post", fake_post)
     with pytest.raises(TransportError):
+        complete(CONFIG, msgs("t"))
+    assert len(calls) == CONFIG.max_retries + 1
+
+
+def posts_returning(monkeypatch, status):
+    """Make every POST answer with status; returns the list of calls made."""
+    monkeypatch.setattr(llm_mod, "_sleep", lambda _: None)
+    calls = []
+
+    def fake_post(*args, **kwargs):
+        calls.append(1)
+        return FakeResponse(status)
+
+    monkeypatch.setattr(llm_mod.requests, "post", fake_post)
+    return calls
+
+
+@pytest.mark.parametrize("status", [400, 404, 422])
+def test_http_transport_rejected_request_sent_once(monkeypatch, status):
+    calls = posts_returning(monkeypatch, status)
+    with pytest.raises(RequestRejected, match=f"HTTP {status}"):
+        complete(CONFIG, msgs("t"))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("status", [408, 429])
+def test_http_transport_timeout_and_rate_limit_retried(monkeypatch, status):
+    calls = posts_returning(monkeypatch, status)
+    with pytest.raises(TransportError, match=f"HTTP {status}"):
         complete(CONFIG, msgs("t"))
     assert len(calls) == CONFIG.max_retries + 1
 

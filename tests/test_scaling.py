@@ -14,7 +14,17 @@ import time
 
 import pytest
 
-from rsl import Category, check, default_world, lex, render_statement, run
+from rsl import (
+    Category,
+    Program,
+    check,
+    default_manifest,
+    default_world,
+    generate,
+    lex,
+    render_statement,
+    run,
+)
 
 from support import random_statement
 
@@ -89,3 +99,17 @@ def test_run_scales_linearly():
         assert not outcome.diagnostics
         programs.append(outcome.program)
     assert_linear(lambda program: run(program, world), programs)
+
+
+@pytest.mark.parametrize("verified", [True, False], ids=["checked", "hand-built"])
+def test_generate_scales_linearly(verified):
+    # A hand-built program is unverified, so generate renders and checks it.
+    manifest = default_manifest()
+    programs = []
+    for count in SIZES:
+        outcome = check("\n".join(map(render_statement, statements(count))))
+        assert not outcome.diagnostics
+        program = outcome.program if verified else Program(outcome.program.statements)
+        assert program.verified is verified
+        programs.append(program)
+    assert_linear(lambda program: generate(program, manifest), programs)

@@ -343,6 +343,28 @@ def test_overflow_to_a_non_finite_pose_is_a_sim_error(source):
         strict_json(line)
 
 
+@pytest.mark.parametrize(
+    "statement",
+    [
+        Statement("turnleft", (Number(math.inf, "inf"),)),
+        Statement("turnright", (Number(-math.inf, "-inf"),)),
+        Statement("goto", (Number(math.nan, "nan"), Number(0.0, "0"))),
+    ],
+    ids=["turnleft-inf", "turnright-minus-inf", "goto-nan"],
+)
+def test_hand_built_non_finite_number_is_a_sim_error(statement):
+    # check never yields such a Number; only a program built by hand has one.
+    result = run(Program((stmt("forward", 1), statement, stmt("perceive"))), WORLD)
+    assert type(result) is SimError
+    assert result.statement is statement
+    assert [r.statement.keyword for r in result.state.trace] == ["forward"]
+    assert_finite_pose(result.state)
+    for line in trace_to_jsonl(result.state).splitlines():
+        strict_json(line)
+    with pytest.raises(SimError):
+        step(RobotState(), WORLD, statement)
+
+
 def literals(signed):
     """Numeric literals of the grammar from 1 to 1.7e308 in magnitude, half
     of them within a factor 17 of the largest float; negative ones too when

@@ -1,8 +1,23 @@
+import dataclasses
 import random
 
 import pytest
 
-from rsl import Number, Program, SourceSpan, Statement, check, render_program, render_statement
+from rsl import (
+    Category,
+    Diagnostic,
+    Number,
+    Program,
+    RobotState,
+    SourceSpan,
+    Statement,
+    Token,
+    TokenKind,
+    TraceRecord,
+    check,
+    render_program,
+    render_statement,
+)
 from rsl.syntax import POSITIVE_MAGNITUDE_KEYWORDS, STATEMENT_SCHEMAS
 
 from support import random_program
@@ -92,3 +107,32 @@ def test_round_trip_random_programs():
         outcome = check(render_program(program))
         assert not outcome.diagnostics, render_program(program)
         assert outcome.program == program
+
+
+def value_type_instances():
+    span = SourceSpan(1, 1, 10)
+    number = Number(1.0, "1")
+    statement = Statement("forward", (number,), span)
+    record = TraceRecord(statement, 1.0, 0.0, 0.0, 0.0, 0.0, None, False)
+    return [
+        span,
+        Token(TokenKind.NUMBER, "1", span, value=1.0),
+        number,
+        statement,
+        check("forward 1;").program,
+        Diagnostic(Category.NUMBER, span, "1x"),
+        record,
+        RobotState(trace=(record,)),
+    ]
+
+
+@pytest.mark.parametrize("instance", value_type_instances(), ids=lambda v: type(v).__name__)
+def test_value_types_have_no_instance_dict_and_stay_immutable(instance):
+    assert not hasattr(instance, "__dict__")
+    if isinstance(instance, tuple):
+        names = instance._fields
+    else:
+        names = [f.name for f in dataclasses.fields(instance)]
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(instance, name, None)
