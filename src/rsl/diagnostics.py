@@ -37,25 +37,31 @@ LEXICAL_CATEGORIES = frozenset(
     }
 )
 
-# Canonical sentence per category. The Character sentence names the offending
-# character and is built in message_for.
+# Canonical sentence per category, keyed by the member's value: a plain str
+# hashes in C, where a Category key would hash through the Python-level
+# Enum.__hash__. The Character sentence names the offending character and is
+# built in message_for.
 _MESSAGES = {
-    Category.KEYWORD: "Keywords should be lowercase.",
-    Category.IDENTIFIER: "The identifier is illegal.",
-    Category.NUMBER: "The number is illegal.",
-    Category.COMMENT: "This comment has errors.",
-    Category.COMMAND: "The command (keyword) is illegal.",
-    Category.PARAMETER: "Parameter types of the command are invalid.",
-    Category.QUANTITY: "The number of parameters is illegal.",
-    Category.SEMICOLON: "The statement must end with a semicolon.",
+    Category.KEYWORD.value: "Keywords should be lowercase.",
+    Category.IDENTIFIER.value: "The identifier is illegal.",
+    Category.NUMBER.value: "The number is illegal.",
+    Category.COMMENT.value: "This comment has errors.",
+    Category.COMMAND.value: "The command (keyword) is illegal.",
+    Category.PARAMETER.value: "Parameter types of the command are invalid.",
+    Category.QUANTITY.value: "The number of parameters is illegal.",
+    Category.SEMICOLON.value: "The statement must end with a semicolon.",
 }
+# A module global: looking the member up on the class goes through
+# EnumType's attribute hook on every call.
+_CHARACTER = Category.CHARACTER
 
 
 def message_for(category: Category, token_text: str) -> str:
     """The canonical error sentence for a category."""
-    if category is Category.CHARACTER:
+    if category is _CHARACTER:
         return f"The {token_text} is an illegal character."
-    return _MESSAGES[category]
+    # _value_ is the member's own attribute; .value is a Python-level property.
+    return _MESSAGES[category._value_]
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,6 +5,8 @@ The wire format is the standard chat-completions JSON: POST to
 {role, content} objects, answer read from choices[0].message.content.
 Transports are pluggable; ScriptedTransport replays canned responses and
 records every request, which is how the repair loop is tested offline.
+HttpTransport loads requests on its first send, so importing rsl, and
+checking, compiling or running a program, never loads it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
-
-import requests
 
 ENV_API_KEY = "RSL_API_KEY"
 ENV_BASE_URL = "RSL_BASE_URL"
@@ -89,6 +89,9 @@ class Transport(Protocol):
 
 class HttpTransport:
     def send(self, config: ModelConfig, payload: dict) -> dict:
+        # Imported here so that only code that makes a request pays for it.
+        import requests
+
         url = config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Authorization": f"Bearer {config.api_key}"}
         try:

@@ -9,6 +9,13 @@ linear in the program's length. Trace records and states are slotted frozen
 dataclasses. Programs are taken as verified: run does not check them again,
 but a hand-built one whose numbers are not finite is a SimError. No
 physics, collision, or sensing is modeled; perceive sets a flag.
+
+trace_to_jsonl's format is byte-exact: one line per record, each the bytes
+of json.dumps(record, sort_keys=True, allow_nan=False), so the keys come in
+sorted order (cam_pan, cam_tilt, heading, held, perceived, statement, x, y),
+numbers are written as their repr, which is json's float text, and strings
+are escaped to ASCII. Every line ends in a newline. A non-finite number is a
+ValueError, never NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from .syntax import IDENTIFIER_RE, Number, Program, Statement, render_statement
 
@@ -264,24 +272,55 @@ def run(program: Program, world: World, initial: RobotState | None = None) -> Ro
     return _state_after(pose, tuple(records))
 
 
+# One trace line: json.dumps(record, sort_keys=True) layout, keys in sorted
+# order, filled with text that is already JSON.
+_TRACE_LINE = (
+    '{"cam_pan": %s, "cam_tilt": %s, "heading": %s, "held": %s, '
+    '"perceived": %s, "statement": %s, "x": %s, "y": %s}'
+)
+_UNSET = object()
+
+
+def _number_text(value: float, field: str) -> str:
+    """json's text for a number, which is its repr; a non-finite value is a
+    ValueError, as json.dumps with allow_nan=False raises."""
+    if not math.isfinite(value):
+        raise ValueError(f"trace field {field} is not finite: {value!r}")
+    return repr(value)
+
+
 def trace_to_jsonl(state: RobotState) -> str:
-    """Line-delimited JSON export: one record per executed statement."""
+    """Line-delimited JSON export: one record per executed statement, each
+    line the bytes json.dumps(record, sort_keys=True, allow_nan=False) gives.
+
+    _execute passes a field a statement does not change through as the same
+    object, so a number's text is made again only when the object differs
+    from the previous record's."""
     lines = []
+    x = y = heading = cam_pan = cam_tilt = held = _UNSET
     for record in state.trace:
-        lines.append(
-            json.dumps(
-                {
-                    "statement": render_statement(record.statement),
-                    "x": record.x,
-                    "y": record.y,
-                    "heading": record.heading,
-                    "cam_pan": record.cam_pan,
-                    "cam_tilt": record.cam_tilt,
-                    "held": record.held,
-                    "perceived": record.perceived,
-                },
-                sort_keys=True,
-                allow_nan=False,
-            )
-        )
+        if record.x is not x:
+            x = record.x
+            x_text = _number_text(x, "x")
+        if record.y is not y:
+            y = record.y
+            y_text = _number_text(y, "y")
+        if record.heading is not heading:
+            heading = record.heading
+            heading_text = _number_text(heading, "heading")
+        if record.cam_pan is not cam_pan:
+            cam_pan = record.cam_pan
+            cam_pan_text = _number_text(cam_pan, "cam_pan")
+        if record.cam_tilt is not cam_tilt:
+            cam_tilt = record.cam_tilt
+            cam_tilt_text = _number_text(cam_tilt, "cam_tilt")
+        if record.held is not held:
+            held = record.held
+            held_text = "null" if held is None else encode_basestring_ascii(held)
+        lines.append(_TRACE_LINE % (
+            cam_pan_text, cam_tilt_text, heading_text, held_text,
+            "true" if record.perceived else "false",
+            encode_basestring_ascii(render_statement(record.statement)),
+            x_text, y_text,
+        ))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,21 +1,24 @@
 """Shared test helpers: seeded program fuzzers, an independent brute-force
-kinematics oracle, and the character-at-a-time scanner the lexer replaced.
+kinematics oracle, the character-at-a-time scanner the lexer replaced, and
+the per-record json.dumps trace export that trace_to_jsonl replaced.
 
 The oracle deliberately re-implements execution from scratch (complex-number
 arithmetic over plain tuples) so simulator tests compare two genuinely
-different derivations of the same semantics. The old scanner is kept as the
-reference for the differential test of rsl.lexer.
+different derivations of the same semantics. The old scanner and the old
+trace export are kept as the references for the differential tests of
+rsl.lexer and rsl.sim.trace_to_jsonl.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import random
 import string
 import sys
 
-from rsl import Category, Diagnostic, Number, Program, Statement
+from rsl import Category, Diagnostic, Number, Program, RobotState, Statement, render_statement
 from rsl.syntax import (
     KEYWORDS, NUMBER_RE, STATEMENT_SCHEMAS, SourceSpan, Token, TokenKind,
 )
@@ -308,3 +311,27 @@ def _prefix_value(blob: str) -> float:
                 return math.copysign(sys.float_info.max, value)
             return value
     return 0.0
+
+
+def reference_trace_to_jsonl(state: RobotState) -> str:
+    """The trace export before its fixed-layout rewrite: a dict and one
+    json.dumps per record."""
+    lines = []
+    for record in state.trace:
+        lines.append(
+            json.dumps(
+                {
+                    "statement": render_statement(record.statement),
+                    "x": record.x,
+                    "y": record.y,
+                    "heading": record.heading,
+                    "cam_pan": record.cam_pan,
+                    "cam_tilt": record.cam_tilt,
+                    "held": record.held,
+                    "perceived": record.perceived,
+                },
+                sort_keys=True,
+                allow_nan=False,
+            )
+        )
+    return "\n".join(lines) + ("\n" if lines else "")

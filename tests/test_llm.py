@@ -1,5 +1,12 @@
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+import requests
+
+import rsl
 import rsl.llm as llm_mod
 from rsl import (
     AuthError,
@@ -175,7 +182,7 @@ def test_http_transport_success(monkeypatch):
         seen.update(url=url, json=json, headers=headers, timeout=timeout)
         return FakeResponse(payload={"choices": [{"message": {"content": "hi"}}]})
 
-    monkeypatch.setattr(llm_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     text = complete(CONFIG, msgs("task"))
     assert text == "hi"
     assert seen["url"] == "http://test.invalid/chat/completions"
@@ -187,7 +194,7 @@ def test_http_transport_success(monkeypatch):
 
 
 def test_http_transport_auth_error(monkeypatch):
-    monkeypatch.setattr(llm_mod.requests, "post", lambda *a, **k: FakeResponse(401))
+    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(401))
     with pytest.raises(AuthError):
         complete(CONFIG, msgs("t"))
 
@@ -200,7 +207,7 @@ def test_http_transport_server_error_retried(monkeypatch):
         calls.append(1)
         return FakeResponse(503)
 
-    monkeypatch.setattr(llm_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     with pytest.raises(TransportError):
         complete(CONFIG, msgs("t"))
     assert len(calls) == CONFIG.max_retries + 1
@@ -215,7 +222,7 @@ def posts_returning(monkeypatch, status):
         calls.append(1)
         return FakeResponse(status)
 
-    monkeypatch.setattr(llm_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     return calls
 
 
@@ -237,7 +244,7 @@ def test_http_transport_timeout_and_rate_limit_retried(monkeypatch, status):
 
 def test_http_transport_non_json_body(monkeypatch):
     monkeypatch.setattr(
-        llm_mod.requests, "post", lambda *a, **k: FakeResponse(200, body_is_json=False)
+        requests, "post", lambda *a, **k: FakeResponse(200, body_is_json=False)
     )
     with pytest.raises(ProtocolError):
         complete(CONFIG, msgs("t"))
@@ -245,9 +252,9 @@ def test_http_transport_non_json_body(monkeypatch):
 
 def test_network_failure_message_hides_secret(monkeypatch):
     def fake_post(*args, **kwargs):
-        raise llm_mod.requests.ConnectionError("boom")
+        raise requests.ConnectionError("boom")
 
-    monkeypatch.setattr(llm_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setattr(llm_mod, "_sleep", lambda _: None)
     secret_config = ModelConfig(
         base_url="http://test.invalid", model_name="m", api_key="top-secret-key"
@@ -269,3 +276,29 @@ def test_config_from_env_and_overrides():
         config_from_env({"RSL_MODEL": "m"})
     with pytest.raises(ValueError):
         config_from_env({"RSL_BASE_URL": "http://x"})
+
+
+OFFLINE_PROBE = """
+import sys
+
+import rsl
+
+outcome = rsl.check("forward 1; turnleft 0.5; perceive; approach cup;")
+assert not outcome.diagnostics
+rsl.generate(outcome.program, rsl.default_manifest())
+state = rsl.run(outcome.program, rsl.default_world())
+assert rsl.trace_to_jsonl(state).count("\\n") == 4
+print(sorted(name for name in sys.modules if name.split(".")[0] == "requests"))
+"""
+
+
+def test_offline_use_does_not_load_requests():
+    # A fresh interpreter: this one has requests loaded already.
+    src = str(Path(rsl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", OFFLINE_PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -24,6 +24,7 @@ from rsl import (
     lex,
     render_statement,
     run,
+    trace_to_jsonl,
 )
 
 from support import random_statement
@@ -90,15 +91,27 @@ def test_check_of_one_long_malformed_number_scales_linearly():
     assert_linear(check, sources)
 
 
-def test_run_scales_linearly():
-    world = default_world()
+def checked_without_objects():
+    """A checked program per size in which no statement names an object,
+    so none can fail on the world."""
     programs = []
     for count in SIZES:
-        # No statement names an object, so none can fail on the world.
         outcome = check("\n".join(map(render_statement, statements(count, objects=False))))
         assert not outcome.diagnostics
         programs.append(outcome.program)
-    assert_linear(lambda program: run(program, world), programs)
+    return programs
+
+
+def test_run_scales_linearly():
+    world = default_world()
+    assert_linear(lambda program: run(program, world), checked_without_objects())
+
+
+def test_trace_export_scales_linearly():
+    world = default_world()
+    states = [run(program, world) for program in checked_without_objects()]
+    assert [len(state.trace) for state in states] == list(SIZES)
+    assert_linear(trace_to_jsonl, states)
 
 
 @pytest.mark.parametrize("verified", [True, False], ids=["checked", "hand-built"])

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsl import (
@@ -15,6 +15,7 @@ from rsl import (
     RobotState,
     SimError,
     Statement,
+    TraceRecord,
     UnknownObject,
     World,
     WorldError,
@@ -27,7 +28,13 @@ from rsl import (
 from rsl.sim import wrap_heading
 from rsl.syntax import STATEMENT_SCHEMAS
 
-from support import headings_close, oracle_execute, random_statement, statement_as_tuple
+from support import (
+    headings_close,
+    oracle_execute,
+    random_statement,
+    reference_trace_to_jsonl,
+    statement_as_tuple,
+)
 
 WORLD = World({"box": (1.0, 0.5), "crate": (2.0, -1.0), "bin": (0.2, 0.2)})
 
@@ -400,3 +407,71 @@ def test_verified_programs_stay_finite_and_export_strict_json(source):
     assert_finite_pose(state)
     for line in trace_to_jsonl(state).splitlines():
         strict_json(line)
+
+
+POSE_FIELDS = ("x", "y", "heading", "cam_pan", "cam_tilt")
+EDGE_NUMBERS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+pose_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from(EDGE_NUMBERS),
+)
+# Names that json must escape: non-ASCII, quote, backslash, control
+# characters and a lone surrogate.
+export_names = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["caf\u00e9", "\u2603", 'a"b', "a\\b", "a\nb", "\t", "\ud800", ""]),
+)
+
+
+@st.composite
+def export_statements(draw):
+    keyword = draw(st.sampled_from(sorted(STATEMENT_SCHEMAS)))
+    args = tuple(
+        Number(draw(pose_numbers), draw(st.one_of(st.just("1"), export_names)))
+        if kind == "number"
+        else draw(export_names)
+        for kind in STATEMENT_SCHEMAS[keyword]
+    )
+    return Statement(keyword, args)
+
+
+@st.composite
+def hand_built_traces(draw):
+    """Traces whose records mostly share the previous record's number
+    objects, as run's do, but with any finite numbers and any names."""
+    pose = [draw(pose_numbers) for _ in POSE_FIELDS]
+    held = draw(st.one_of(st.none(), export_names))
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        for i in draw(st.sets(st.integers(0, len(POSE_FIELDS) - 1), max_size=3)):
+            pose[i] = draw(pose_numbers)
+        if draw(st.integers(0, 3)) == 0:
+            held = draw(st.one_of(st.none(), export_names))
+        records.append(
+            TraceRecord(draw(export_statements()), *pose, held, draw(st.booleans()))
+        )
+    return RobotState(trace=tuple(records))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(hand_built_traces())
+@example(RobotState())
+@example(step(RobotState(x=1, y=-2, heading=0, cam_pan=3, cam_tilt=-4), WORLD, stmt("perceive")))
+@example(run(program("lookup 2; lookleft 1; forward 1; approach box; grasp box;"), WORLD, RobotState(x=1)))
+def test_trace_export_matches_per_record_json_dumps(state):
+    assert trace_to_jsonl(state) == reference_trace_to_jsonl(state)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", POSE_FIELDS)
+@pytest.mark.parametrize("position", [0, 1], ids=["first", "second"])
+def test_trace_export_rejects_a_non_finite_field(field, value, position):
+    first = step(RobotState(), WORLD, stmt("forward", 1)).trace[0]
+    pose = {name: getattr(first, name) for name in POSE_FIELDS}
+    bad = TraceRecord(stmt("perceive"), **{**pose, field: value}, held=None, perceived=True)
+    trace = (bad,) if position == 0 else (first, bad)
+    with pytest.raises(ValueError):
+        reference_trace_to_jsonl(RobotState(trace=trace))
+    with pytest.raises(ValueError):
+        trace_to_jsonl(RobotState(trace=trace))
