@@ -85,18 +85,12 @@ def _diagnostics_json(diagnostics) -> list[dict]:
     ]
 
 
-def _load_world_arg(path: str | None):
+def _load_arg(path: str | None, load_file, default):
+    """load_file(path), or default() when no path is given. On a file that
+    cannot be read or is malformed, prints the error and returns None."""
     try:
-        return load_world_file(path) if path else default_world()
-    except (OSError, WorldError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None
-
-
-def _load_manifest_arg(path: str | None):
-    try:
-        return load_manifest_file(path) if path else default_manifest()
-    except (OSError, ManifestError) as err:
+        return load_file(path) if path else default()
+    except (OSError, ManifestError, WorldError) as err:
         print(f"error: {err}", file=sys.stderr)
         return None
 
@@ -157,7 +151,7 @@ def cmd_compile(args) -> int:
     source = _read_source(args.source)
     if source is None:
         return EXIT_INPUT
-    manifest = _load_manifest_arg(args.manifest)
+    manifest = _load_arg(args.manifest, load_manifest_file, default_manifest)
     if manifest is None:
         return EXIT_INPUT
     outcome = check(source)
@@ -180,7 +174,7 @@ def cmd_run(args) -> int:
     source = _read_source(args.source)
     if source is None:
         return EXIT_INPUT
-    world = _load_world_arg(args.world)
+    world = _load_arg(args.world, load_world_file, default_world)
     if world is None:
         return EXIT_INPUT
     outcome = check(source)
@@ -230,7 +224,7 @@ def cmd_translate(args) -> int:
     parts = make_prompt_parts(args.task, zero_shot=args.zero_shot)
     manifest = None
     if args.compile_to:
-        manifest = _load_manifest_arg(args.manifest)
+        manifest = _load_arg(args.manifest, load_manifest_file, default_manifest)
         if manifest is None:
             return EXIT_INPUT
     try:
@@ -282,7 +276,7 @@ def cmd_eval(args) -> int:
     except DatasetError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    world = _load_world_arg(args.world)
+    world = _load_arg(args.world, load_world_file, default_world)
     if world is None:
         return EXIT_INPUT
     parts_template = make_prompt_parts("placeholder", zero_shot=args.zero_shot)

@@ -32,16 +32,17 @@ from .syntax import Number
 GROUP_SIZES = {"simple": 6, "ambiguous": 4, "multi_step": 6, "complex": 9}
 TASK_COUNT = sum(GROUP_SIZES.values())
 
-_PREDICATE_KINDS = {
-    "sequence",
-    "subsequence",
-    "single_forward_in",
-    "total_rotation",
-    "looks",
-    "only_keywords",
-    "held",
-    "perceived",
-    "pose",
+# Every predicate kind, with the fields it needs.
+_PREDICATE_FIELDS = {
+    "sequence": ("actions",),
+    "subsequence": ("actions",),
+    "single_forward_in": ("min", "max"),
+    "total_rotation": ("min", "max"),
+    "looks": ("min_count",),
+    "only_keywords": ("keywords",),
+    "held": ("object",),
+    "perceived": (),
+    "pose": ("x", "y", "tol"),
 }
 _LOOK_KEYWORDS = frozenset({"lookup", "lookdown", "lookleft", "lookright"})
 _DEFAULT_TOL = 1e-6
@@ -70,20 +71,9 @@ def _validate_predicate(pred: object, task_id: str) -> dict:
     if not isinstance(pred, dict) or "kind" not in pred:
         raise DatasetError(f"task {task_id}: predicate must be an object with a kind")
     kind = pred["kind"]
-    if kind not in _PREDICATE_KINDS:
+    if kind not in _PREDICATE_FIELDS:
         raise DatasetError(f"task {task_id}: unknown predicate kind {kind!r}")
-    needs = {
-        "sequence": ("actions",),
-        "subsequence": ("actions",),
-        "single_forward_in": ("min", "max"),
-        "total_rotation": ("min", "max"),
-        "looks": ("min_count",),
-        "only_keywords": ("keywords",),
-        "held": ("object",),
-        "perceived": (),
-        "pose": ("x", "y", "tol"),
-    }[kind]
-    for field_name in needs:
+    for field_name in _PREDICATE_FIELDS[kind]:
         if field_name not in pred:
             raise DatasetError(f"task {task_id}: {kind} predicate needs {field_name!r}")
     return pred
@@ -271,25 +261,23 @@ class OracleTransport:
 
 
 class FailFirstTransport:
-    """Oracle wrapper whose first reply per task drops the final semicolon,
-    forcing exactly one feedback pass before the correct program."""
+    """Oracle wrapper whose first reply of each task's program drops the final
+    semicolon, forcing exactly one feedback pass before the correct program."""
 
     def __init__(self, programs: dict[str, str] | None = None) -> None:
         self._oracle = OracleTransport(programs)
-        self._calls: dict[str, int] = {}
+        self._replied: set[str] = set()
         self._lock = threading.Lock()
 
     def send(self, config: ModelConfig, payload: dict) -> dict:
-        task = _find_task(payload["messages"], self._oracle.programs)
-        if task is None:
-            raise TransportError("oracle transport: no known task in the prompt")
+        reply = self._oracle.send(config, payload)
+        message = reply["choices"][0]["message"]
         with self._lock:
-            self._calls[task] = self._calls.get(task, 0) + 1
-            first = self._calls[task] == 1
-        program = self._oracle.programs[task]
+            first = message["content"] not in self._replied
+            self._replied.add(message["content"])
         if first:
-            program = program.rstrip().rstrip(";")
-        return {"choices": [{"message": {"role": "assistant", "content": program}}]}
+            message["content"] = message["content"].rstrip().rstrip(";")
+        return reply
 
 
 # ---------------------------------------------------------------------------

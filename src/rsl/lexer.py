@@ -2,8 +2,11 @@
 
 One master regular expression, _TOKEN_RE, names every lexeme class; lex walks
 its matches in order and dispatches on the class that matched, so every
-character of the source belongs to exactly one match. Line and column come
-from the offset of the last newline seen.
+character of the source belongs to exactly one match. Gaps (whitespace,
+newlines, closed comments) are a prefix of the next lexeme's match, or of a
+last match at the end, so the scan takes one step per token. Line and column
+come from the last newline seen, searched for only in gaps that are not empty.
+Spans are valid by construction, so tokens and spans skip SourceSpan's check.
 
 Lexical problems never abort the scan. Each one becomes a diagnostic in one of
 the five lexical categories, and where the intended token is obvious the
@@ -30,47 +33,46 @@ import sys
 from dataclasses import dataclass
 
 from .diagnostics import Category, Diagnostic
-from .syntax import KEYWORDS, NUMBER_RE, SourceSpan, Token, TokenKind
+from .syntax import KEYWORDS, SourceSpan, Token, TokenKind
 
 # Alternatives are tried in order at each position. Character classes are
 # spelled out in ASCII because \w and \d also match letters and digits of
-# other scripts, which are illegal characters here.
+# other scripts, which are illegal characters here. The gap never backtracks,
+# because char or \Z matches wherever it stops, so it needs no atomic group.
 _TOKEN_RE = re.compile(
-    r"(?P<skip>[ \t\r]+|//[^\n]*)"
-    r"|(?P<newline>\n)"
     # The search for */ starts after the /*, so "/*/" does not close.
-    r"|(?P<comment>/\*.*?\*/)"
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+    r"(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    # A digit-led run of letters, digits and dots is one lexeme, so that
+    # "123.23.45" and "3apple" each become a single diagnostic. It is a number
+    # when all of it is its prefix: an optional sign, digits and an optional
+    # single fraction, with no exponent and no leading or trailing dot.
+    r"|(?P<numeral>(?P<prefix>-?[0-9]+(?:\.[0-9]+)?)[A-Za-z0-9_.]*)"
+    r"|(?P<semicolon>;)"
+    r"|(?P<comma>,)"
     # Unterminated: diagnose the opening line, swallow the rest of the input.
     r"|(?P<unclosed>/\*[^\n]*).*"
     # A lone / opens nothing valid; the rest of its line is presumed a comment.
     r"|(?P<slash>/[^\n]*)"
-    r"|(?P<semicolon>;)"
-    r"|(?P<comma>,)"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
-    # Letters and dots are absorbed so that "123.23.45" and "3apple" each
-    # become a single diagnostic, not several tokens.
-    r"|(?P<blob>-?[0-9][A-Za-z0-9_.]*)"
-    r"|(?P<char>.)",
+    r"|(?P<char>.)"
+    r"|(?P<end>\Z))",
     re.DOTALL,
 )
 _LETTER_RE = re.compile(r"[A-Za-z_]")
-_NUMBER_PREFIX_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+_FLOAT_MAX = sys.float_info.max
+
+# Enum members as module globals: a lookup on the class runs EnumType's hook.
+_KEYWORD, _IDENTIFIER, _NUMBER = TokenKind.KEYWORD, TokenKind.IDENTIFIER, TokenKind.NUMBER
+_SEMICOLON, _COMMA, _END = TokenKind.SEMICOLON, TokenKind.COMMA, TokenKind.END
+_BAD_KEYWORD, _BAD_IDENTIFIER = Category.KEYWORD, Category.IDENTIFIER
+_BAD_NUMBER, _BAD_CHARACTER, _BAD_COMMENT = Category.NUMBER, Category.CHARACTER, Category.COMMENT
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
 class LexOutcome:
     tokens: tuple[Token, ...]
     diagnostics: tuple[Diagnostic, ...]
-
-
-def _best_effort_value(blob: str) -> float:
-    """Longest valid numeric prefix of a malformed number (which starts with
-    a digit or a minus and a digit). A prefix too large for a float gives
-    the largest finite float of its sign."""
-    value = float(_NUMBER_PREFIX_RE.match(blob).group())
-    if math.isinf(value):
-        return math.copysign(sys.float_info.max, value)
-    return value
 
 
 def lex(source: str) -> LexOutcome:
@@ -81,49 +83,51 @@ def lex(source: str) -> LexOutcome:
     """
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    line, line_start = 1, 0  # line_start: offset of the line's first character
+    # line_start: offset of the line's first character; pos: end of the last
+    # lexeme, so source[pos:start] is the gap before the next one.
+    line, line_start, pos = 1, 0, 0
     for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind == "skip":
-            continue
-        start = m.start()
-        if kind == "newline":
-            line, line_start = line + 1, start + 1
-            continue
+        start = m.start(kind)
+        if start != pos and (newlines := source.count("\n", pos, start)):
+            line += newlines
+            line_start = source.rfind("\n", pos, start) + 1
+        if kind == "end":
+            break
         text = m.group(kind)
+        pos = start + len(text)
         col = start - line_start + 1
-        span = SourceSpan(line, col, col + len(text) - 1)
-        if kind == "semicolon":
-            tokens.append(Token(TokenKind.SEMICOLON, text, span))
-        elif kind == "comma":
-            tokens.append(Token(TokenKind.COMMA, text, span))
-        elif kind == "word":
+        span = _new(SourceSpan, (line, col, col + len(text) - 1))
+        if kind == "word":
             keyword = text.lower()
             if keyword not in KEYWORDS:
-                tokens.append(Token(TokenKind.IDENTIFIER, text, span))
+                tokens.append(_new(Token, (_IDENTIFIER, text, span, None, None)))
             else:
                 if keyword != text:
-                    diagnostics.append(Diagnostic(Category.KEYWORD, span, text))
-                tokens.append(Token(TokenKind.KEYWORD, text, span, keyword=keyword))
-        elif kind == "blob":
-            if NUMBER_RE.match(text) and math.isfinite(value := float(text)):
-                tokens.append(Token(TokenKind.NUMBER, text, span, value=value))
+                    diagnostics.append(Diagnostic(_BAD_KEYWORD, span, text))
+                tokens.append(_new(Token, (_KEYWORD, text, span, keyword, None)))
+        elif kind == "numeral":
+            prefix = m.group("prefix")
+            value = float(prefix)
+            if len(prefix) == len(text) and math.isfinite(value):
+                tokens.append(_new(Token, (_NUMBER, text, span, None, value)))
             elif _LETTER_RE.search(text):
-                diagnostics.append(Diagnostic(Category.IDENTIFIER, span, text))
-                tokens.append(Token(TokenKind.IDENTIFIER, text, span))
+                diagnostics.append(Diagnostic(_BAD_IDENTIFIER, span, text))
+                tokens.append(_new(Token, (_IDENTIFIER, text, span, None, None)))
             else:
-                diagnostics.append(Diagnostic(Category.NUMBER, span, text))
-                value = _best_effort_value(text)
-                tokens.append(Token(TokenKind.NUMBER, text, span, value=value))
+                # The recovered value is the prefix's, or the largest finite
+                # float of its sign when the prefix is too large for one.
+                diagnostics.append(Diagnostic(_BAD_NUMBER, span, text))
+                value = max(-_FLOAT_MAX, min(value, _FLOAT_MAX))
+                tokens.append(_new(Token, (_NUMBER, text, span, None, value)))
+        elif kind == "semicolon":
+            tokens.append(_new(Token, (_SEMICOLON, text, span, None, None)))
+        elif kind == "comma":
+            tokens.append(_new(Token, (_COMMA, text, span, None, None)))
         elif kind == "char":
-            diagnostics.append(Diagnostic(Category.CHARACTER, span, text))
-        else:  # comment, unclosed or slash; a block comment may span lines
-            if kind != "comment":
-                diagnostics.append(Diagnostic(Category.COMMENT, span, text))
-            newlines = source.count("\n", start, m.end())
-            if newlines:
-                line += newlines
-                line_start = source.rfind("\n", start, m.end()) + 1
+            diagnostics.append(Diagnostic(_BAD_CHARACTER, span, text))
+        else:  # unclosed or slash; the rest an unclosed block swallows is a gap
+            diagnostics.append(Diagnostic(_BAD_COMMENT, span, text))
     col = len(source) - line_start + 1
-    tokens.append(Token(TokenKind.END, "", SourceSpan(line, col, col)))
+    tokens.append(_new(Token, (_END, "", _new(SourceSpan, (line, col, col)), None, None)))
     return LexOutcome(tuple(tokens), tuple(diagnostics))

@@ -6,6 +6,9 @@ a fixed order so at most one diagnostic fires per statement: command keyword,
 then parameter kinds in position order, then arity, then the terminator.
 After a diagnostic the parser skips to the next semicolon or keyword and
 continues, so a single pass reports every broken statement.
+
+A parsed statement has matched its STATEMENT_SCHEMAS entry token by token, so
+syntax.trusted_statement builds it without Statement's schema re-check.
 """
 
 from __future__ import annotations
@@ -23,10 +26,21 @@ from .syntax import (
     Statement,
     Token,
     TokenKind,
+    trusted_statement,
 )
 
-_SYNC_KINDS = frozenset({TokenKind.SEMICOLON, TokenKind.KEYWORD, TokenKind.END})
-_PARAM_KINDS = {"number": TokenKind.NUMBER, "object": TokenKind.IDENTIFIER}
+# Enum members as module globals, as in lexer.py.
+_KEYWORD, _IDENTIFIER, _NUMBER = TokenKind.KEYWORD, TokenKind.IDENTIFIER, TokenKind.NUMBER
+_SEMICOLON, _COMMA, _END = TokenKind.SEMICOLON, TokenKind.COMMA, TokenKind.END
+_BAD_COMMAND, _BAD_PARAMETER = Category.COMMAND, Category.PARAMETER
+_BAD_QUANTITY, _BAD_SEMICOLON = Category.QUANTITY, Category.SEMICOLON
+
+# Tuples, whose membership test compares identities, not Enum.__hash__ values.
+_SYNC_KINDS = (_SEMICOLON, _KEYWORD, _END)
+_ARGUMENT_KINDS = (_NUMBER, _IDENTIFIER, _COMMA)
+# Per keyword, the token kind of each parameter in position order.
+_TOKEN_KIND = {"number": _NUMBER, "object": _IDENTIFIER}
+_PARAM_KINDS = {kw: tuple(map(_TOKEN_KIND.get, schema)) for kw, schema in STATEMENT_SCHEMAS.items()}
 
 
 @dataclass(frozen=True)
@@ -44,8 +58,8 @@ class TokenStream:
 
     def __init__(self, tokens) -> None:
         toks = list(tokens)
-        if not toks or toks[-1].kind is not TokenKind.END:
-            toks.append(Token(TokenKind.END, "", SourceSpan(1, 1, 1)))
+        if not toks or toks[-1].kind is not _END:
+            toks.append(Token(_END, "", SourceSpan(1, 1, 1)))
         self._tokens = toks
         self._pos = 0
 
@@ -58,7 +72,7 @@ class TokenStream:
 
     def advance(self) -> Token:
         tok = self._tokens[self._pos]
-        if tok.kind is not TokenKind.END:
+        if tok.kind is not _END:
             self._pos += 1
         return tok
 
@@ -75,16 +89,16 @@ def _statement_text(consumed: list[Token], lines: list[str]) -> str:
         return line_text[first.span.col_start - 1 : last.span.col_end]
     parts: list[str] = []
     for tok in consumed:
-        if parts and tok.kind not in (TokenKind.COMMA, TokenKind.SEMICOLON):
+        if parts and tok.kind not in (_COMMA, _SEMICOLON):
             parts.append(" ")
         parts.append(tok.text)
     return "".join(parts)
 
 
-def _statement_span(consumed: list[Token]) -> SourceSpan:
-    first, last = consumed[0], consumed[-1]
+def _statement_span(first: Token, last: Token) -> SourceSpan:
+    """first to last if on one line, else first's; valid, as tokens are in order."""
     if first.span.line == last.span.line:
-        return SourceSpan(first.span.line, first.span.col_start, last.span.col_end)
+        return tuple.__new__(SourceSpan, (first.span.line, first.span.col_start, last.span.col_end))
     return first.span
 
 
@@ -93,61 +107,60 @@ def _recover(stream: TokenStream) -> None:
     what stopped us."""
     while stream.peek().kind not in _SYNC_KINDS:
         stream.advance()
-    if stream.peek().kind is TokenKind.SEMICOLON:
+    if stream.peek().kind is _SEMICOLON:
         stream.advance()
 
 
-def _diag_at(category: Category, tok: Token, consumed: list[Token], lines: list[str]) -> Diagnostic:
-    if tok.kind is TokenKind.END:
-        # Nothing to point at; name the statement parsed so far instead.
-        return Diagnostic(
-            category, _statement_span(consumed), _statement_text(consumed, lines)
-        )
-    return Diagnostic(category, tok.span, tok.text)
+def _diag_at(
+    category: Category, tok: Token, stream: TokenStream, first: int, lines: list[str]
+) -> Diagnostic:
+    """A diagnostic at tok. A missing semicolon, or one found at END where
+    there is nothing to point at, names the statement parsed so far."""
+    if tok.kind is not _END and category is not _BAD_SEMICOLON:
+        return Diagnostic(category, tok.span, tok.text)
+    consumed = stream._tokens[first : stream.pos]
+    span = _statement_span(consumed[0], consumed[-1])
+    return Diagnostic(category, span, _statement_text(consumed, lines))
 
 
 def _parse_statement(
     stream: TokenStream, lines: list[str]
 ) -> tuple[Statement | None, Diagnostic | None]:
+    first = stream.pos
     kw_tok = stream.advance()
-    consumed = [kw_tok]
-    schema = STATEMENT_SCHEMAS[kw_tok.keyword or kw_tok.text]
+    keyword = kw_tok.keyword or kw_tok.text
     args: list[Number | str] = []
 
-    for index, kind in enumerate(schema):
-        if index > 0:
+    for kind in _PARAM_KINDS[keyword]:
+        if args:  # a comma comes before each parameter after the first
             sep = stream.peek()
-            if sep.kind is TokenKind.COMMA:
-                consumed.append(stream.advance())
-            else:
+            if sep.kind is not _COMMA:
                 # Parameter list loses its shape here: wrong count/structure.
-                return None, _diag_at(Category.QUANTITY, sep, consumed, lines)
+                return None, _diag_at(_BAD_QUANTITY, sep, stream, first, lines)
+            stream.advance()
         tok = stream.peek()
-        if tok.kind is _PARAM_KINDS[kind]:
-            consumed.append(stream.advance())
-            if kind == "number":
-                args.append(Number(tok.value if tok.value is not None else 0.0, tok.text))
+        if tok.kind is kind:
+            stream.advance()
+            if kind is _NUMBER:
+                value = tok.value if tok.value is not None else 0.0
+                args.append(tuple.__new__(Number, (value, tok.text)))
             else:
                 args.append(tok.text)
-        elif tok.kind in (TokenKind.NUMBER, TokenKind.IDENTIFIER, TokenKind.COMMA):
-            return None, _diag_at(Category.PARAMETER, tok, consumed, lines)
+        elif tok.kind in _ARGUMENT_KINDS:
+            return None, _diag_at(_BAD_PARAMETER, tok, stream, first, lines)
         else:
             # SEMICOLON, KEYWORD, or END before the schema was satisfied.
-            return None, _diag_at(Category.QUANTITY, tok, consumed, lines)
+            return None, _diag_at(_BAD_QUANTITY, tok, stream, first, lines)
 
     terminator = stream.peek()
-    if terminator.kind is TokenKind.SEMICOLON:
-        consumed.append(stream.advance())
-        return (
-            Statement(kw_tok.keyword or kw_tok.text, tuple(args), _statement_span(consumed)),
-            None,
-        )
-    if terminator.kind in (TokenKind.NUMBER, TokenKind.IDENTIFIER, TokenKind.COMMA):
-        return None, _diag_at(Category.QUANTITY, terminator, consumed, lines)
+    if terminator.kind is _SEMICOLON:
+        stream.advance()
+        span = _statement_span(kw_tok, terminator)
+        return trusted_statement(keyword, tuple(args), span), None
+    if terminator.kind in _ARGUMENT_KINDS:
+        return None, _diag_at(_BAD_QUANTITY, terminator, stream, first, lines)
     # KEYWORD or END: the statement simply was not terminated.
-    return None, Diagnostic(
-        Category.SEMICOLON, _statement_span(consumed), _statement_text(consumed, lines)
-    )
+    return None, _diag_at(_BAD_SEMICOLON, terminator, stream, first, lines)
 
 
 def parse(tokens, source: str = "") -> ParseOutcome:
@@ -159,10 +172,9 @@ def parse(tokens, source: str = "") -> ParseOutcome:
     lines = source.splitlines()
     statements: list[Statement] = []
     diagnostics: list[Diagnostic] = []
-    while stream.peek().kind is not TokenKind.END:
-        if stream.peek().kind is not TokenKind.KEYWORD:
-            tok = stream.peek()
-            diagnostics.append(Diagnostic(Category.COMMAND, tok.span, tok.text))
+    while (tok := stream.peek()).kind is not _END:
+        if tok.kind is not _KEYWORD:
+            diagnostics.append(Diagnostic(_BAD_COMMAND, tok.span, tok.text))
             _recover(stream)
             continue
         statement, diag = _parse_statement(stream, lines)
@@ -183,7 +195,7 @@ def validate(program: Program) -> list[Diagnostic]:
             magnitude = s.args[0]
             assert isinstance(magnitude, Number)
             if not magnitude.value > 0:
-                out.append(Diagnostic(Category.PARAMETER, s.span, magnitude.raw))
+                out.append(Diagnostic(_BAD_PARAMETER, s.span, magnitude.raw))
     return out
 
 

@@ -174,32 +174,22 @@ def _execute(state: RobotState | TraceRecord, world: World, statement: Statement
     kw = statement.keyword
     finite = True
 
-    if kw == "forward":
-        d = _magnitude(statement)
+    # Adding a negated magnitude gives the same float as subtracting it.
+    if kw == "forward" or kw == "backward":
+        d = _magnitude(statement) if kw == "forward" else -_magnitude(statement)
         x += d * math.cos(heading)
         y += d * math.sin(heading)
-        finite = math.isfinite(x) and math.isfinite(y)
-    elif kw == "backward":
-        d = _magnitude(statement)
-        x -= d * math.cos(heading)
-        y -= d * math.sin(heading)
         finite = math.isfinite(x) and math.isfinite(y)
     elif kw == "turnleft" or kw == "turnright":
         turn = _magnitude(statement)
         finite = math.isfinite(turn)
         if finite:
             heading = wrap_heading(heading + (turn if kw == "turnleft" else -turn))
-    elif kw == "lookup":
-        cam_tilt += _magnitude(statement)
+    elif kw == "lookup" or kw == "lookdown":
+        cam_tilt += _magnitude(statement) if kw == "lookup" else -_magnitude(statement)
         finite = math.isfinite(cam_tilt)
-    elif kw == "lookdown":
-        cam_tilt -= _magnitude(statement)
-        finite = math.isfinite(cam_tilt)
-    elif kw == "lookleft":
-        cam_pan += _magnitude(statement)
-        finite = math.isfinite(cam_pan)
-    elif kw == "lookright":
-        cam_pan -= _magnitude(statement)
+    elif kw == "lookleft" or kw == "lookright":
+        cam_pan += _magnitude(statement) if kw == "lookleft" else -_magnitude(statement)
         finite = math.isfinite(cam_pan)
     elif kw == "perceive":
         perceived = True

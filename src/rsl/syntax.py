@@ -44,9 +44,6 @@ POSITIVE_MAGNITUDE_KEYWORDS = frozenset(
 )
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-# Optional sign, digits, optional single fraction. No exponents, no leading
-# or trailing dot.
-NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?\Z")
 
 
 class SourceSpan(NamedTuple):
@@ -130,6 +127,21 @@ class Statement:
                 raise ValueError(f"{self.keyword} expects a numeric argument")
             if kind == "object" and not isinstance(arg, str):
                 raise ValueError(f"{self.keyword} expects an object-name argument")
+
+
+_set_keyword, _set_args, _set_span = (
+    Statement.__dict__[name].__set__ for name in ("keyword", "args", "span")
+)
+
+
+def trusted_statement(keyword: str, args: tuple, span: SourceSpan) -> Statement:
+    """A Statement built without __post_init__'s schema check, for the parser,
+    which has enforced STATEMENT_SCHEMAS on what it passes already."""
+    statement = object.__new__(Statement)
+    _set_keyword(statement, keyword)
+    _set_args(statement, args)
+    _set_span(statement, span)
+    return statement
 
 
 @dataclass(frozen=True, slots=True)

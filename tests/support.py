@@ -1,12 +1,13 @@
 """Shared test helpers: seeded program fuzzers, an independent brute-force
-kinematics oracle, the character-at-a-time scanner the lexer replaced, and
-the per-record json.dumps trace export that trace_to_jsonl replaced.
+kinematics oracle, the character-at-a-time scanner the lexer replaced, the
+parser as it was before it built statements and spans unchecked, and the
+per-record json.dumps trace export that trace_to_jsonl replaced.
 
 The oracle deliberately re-implements execution from scratch (complex-number
 arithmetic over plain tuples) so simulator tests compare two genuinely
-different derivations of the same semantics. The old scanner and the old
-trace export are kept as the references for the differential tests of
-rsl.lexer and rsl.sim.trace_to_jsonl.
+different derivations of the same semantics. The old scanner, the old parser
+and the old trace export are kept as the references for the differential
+tests of rsl.lexer, rsl.parser and rsl.sim.trace_to_jsonl.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import cmath
 import json
 import math
 import random
+import re
 import string
 import sys
 
-from rsl import Category, Diagnostic, Number, Program, RobotState, Statement, render_statement
-from rsl.syntax import (
-    KEYWORDS, NUMBER_RE, STATEMENT_SCHEMAS, SourceSpan, Token, TokenKind,
+from rsl import (
+    Category, Diagnostic, Number, ParseOutcome, Program, RobotState, Statement, render_statement,
 )
+from rsl.syntax import KEYWORDS, STATEMENT_SCHEMAS, SourceSpan, Token, TokenKind
 
 KEYWORD_LIST = sorted(KEYWORDS)
 _NAME_ALPHABET = string.ascii_lowercase + "_"
@@ -90,6 +92,45 @@ def random_junk_source(rng: random.Random) -> str:
         "\n", " ", "\t",
     ]
     return " ".join(rng.choice(pieces) for _ in range(rng.randrange(25)))
+
+
+# Token separators: whitespace, newlines and comments, none of them empty.
+_GAPS = (" ", "  ", "\t", "\n", "\r\n", " // note\n", "/* x */", " /* a\nb */ ", "\n\n")
+
+
+def random_gapped_source(rng: random.Random) -> str:
+    """A random program that verifies, rendered with a random gap before
+    every token and at the end. The gap next to a comma or semicolon may be
+    empty; between two words or numbers it never is."""
+    parts = []
+    previous = ";"
+    for statement in random_program(rng).statements:
+        tokens = [statement.keyword]
+        for index, arg in enumerate(statement.args):
+            if index:
+                tokens.append(",")
+            tokens.append(arg.raw if isinstance(arg, Number) else arg)
+        tokens.append(";")
+        for token in tokens:
+            if (token in ",;" or previous in ",;") and rng.random() < 0.4:
+                parts.append(token)
+            else:
+                parts += [rng.choice(_GAPS), token]
+            previous = token
+    parts.append(rng.choice(("", *_GAPS)))
+    return "".join(parts)
+
+
+def single_char_mutant(rng: random.Random, source: str) -> str:
+    """source with one character deleted, replaced or inserted."""
+    alphabet = "aZ_09.-;,/* \n\t$\u00e9"
+    at = rng.randrange(len(source) + 1)
+    edit = rng.randrange(3) if at < len(source) else 2
+    if edit == 0:
+        return source[:at] + source[at + 1 :]
+    if edit == 1:
+        return source[:at] + rng.choice(alphabet) + source[at + 1 :]
+    return source[:at] + rng.choice(alphabet) + source[at:]
 
 
 def _wrap(theta: float) -> float:
@@ -177,6 +218,9 @@ _IDENT_START = frozenset(
 _IDENT_CONT = _IDENT_START | frozenset("0123456789")
 _DIGITS = frozenset("0123456789")
 _BLOB_CHARS = _IDENT_CONT | frozenset(".")
+# Optional sign, digits, optional single fraction. No exponents, no leading
+# or trailing dot.
+NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?\Z")
 
 
 class ReferenceScanner:
@@ -311,6 +355,126 @@ def _prefix_value(blob: str) -> float:
                 return math.copysign(sys.float_info.max, value)
             return value
     return 0.0
+
+
+class _ReferenceStream:
+    """Forward-only cursor over a lexed token list (END-terminated)."""
+
+    def __init__(self, tokens) -> None:
+        toks = list(tokens)
+        if not toks or toks[-1].kind is not TokenKind.END:
+            toks.append(Token(TokenKind.END, "", SourceSpan(1, 1, 1)))
+        self._tokens = toks
+        self._pos = 0
+
+    def peek(self) -> Token:
+        return self._tokens[self._pos]
+
+    def advance(self) -> Token:
+        tok = self._tokens[self._pos]
+        if tok.kind is not TokenKind.END:
+            self._pos += 1
+        return tok
+
+
+def _reference_statement_text(consumed, lines) -> str:
+    first, last = consumed[0], consumed[-1]
+    if first.span.line == last.span.line and first.span.line <= len(lines):
+        line_text = lines[first.span.line - 1]
+        return line_text[first.span.col_start - 1 : last.span.col_end]
+    parts: list[str] = []
+    for tok in consumed:
+        if parts and tok.kind not in (TokenKind.COMMA, TokenKind.SEMICOLON):
+            parts.append(" ")
+        parts.append(tok.text)
+    return "".join(parts)
+
+
+def _reference_statement_span(consumed) -> SourceSpan:
+    first, last = consumed[0], consumed[-1]
+    if first.span.line == last.span.line:
+        return SourceSpan(first.span.line, first.span.col_start, last.span.col_end)
+    return first.span
+
+
+def _reference_recover(stream) -> None:
+    while stream.peek().kind not in (TokenKind.SEMICOLON, TokenKind.KEYWORD, TokenKind.END):
+        stream.advance()
+    if stream.peek().kind is TokenKind.SEMICOLON:
+        stream.advance()
+
+
+def _reference_diag_at(category, tok, consumed, lines) -> Diagnostic:
+    if tok.kind is TokenKind.END:
+        return Diagnostic(
+            category,
+            _reference_statement_span(consumed),
+            _reference_statement_text(consumed, lines),
+        )
+    return Diagnostic(category, tok.span, tok.text)
+
+
+_REFERENCE_PARAM_KINDS = {"number": TokenKind.NUMBER, "object": TokenKind.IDENTIFIER}
+
+
+def _reference_parse_statement(stream, lines):
+    kw_tok = stream.advance()
+    consumed = [kw_tok]
+    schema = STATEMENT_SCHEMAS[kw_tok.keyword or kw_tok.text]
+    args: list[Number | str] = []
+    for index, kind in enumerate(schema):
+        if index > 0:
+            sep = stream.peek()
+            if sep.kind is TokenKind.COMMA:
+                consumed.append(stream.advance())
+            else:
+                return None, _reference_diag_at(Category.QUANTITY, sep, consumed, lines)
+        tok = stream.peek()
+        if tok.kind is _REFERENCE_PARAM_KINDS[kind]:
+            consumed.append(stream.advance())
+            if kind == "number":
+                args.append(Number(tok.value if tok.value is not None else 0.0, tok.text))
+            else:
+                args.append(tok.text)
+        elif tok.kind in (TokenKind.NUMBER, TokenKind.IDENTIFIER, TokenKind.COMMA):
+            return None, _reference_diag_at(Category.PARAMETER, tok, consumed, lines)
+        else:
+            return None, _reference_diag_at(Category.QUANTITY, tok, consumed, lines)
+    terminator = stream.peek()
+    if terminator.kind is TokenKind.SEMICOLON:
+        consumed.append(stream.advance())
+        keyword = kw_tok.keyword or kw_tok.text
+        return Statement(keyword, tuple(args), _reference_statement_span(consumed)), None
+    if terminator.kind in (TokenKind.NUMBER, TokenKind.IDENTIFIER, TokenKind.COMMA):
+        return None, _reference_diag_at(Category.QUANTITY, terminator, consumed, lines)
+    return None, Diagnostic(
+        Category.SEMICOLON,
+        _reference_statement_span(consumed),
+        _reference_statement_text(consumed, lines),
+    )
+
+
+def reference_parse(tokens, source: str = "") -> ParseOutcome:
+    """rsl.parser.parse before statements skipped their schema re-check and
+    spans their validity check: every Statement and SourceSpan goes through
+    its checked constructor, and each statement collects its tokens."""
+    stream = _ReferenceStream(tokens)
+    lines = source.splitlines()
+    statements: list[Statement] = []
+    diagnostics: list[Diagnostic] = []
+    while stream.peek().kind is not TokenKind.END:
+        if stream.peek().kind is not TokenKind.KEYWORD:
+            tok = stream.peek()
+            diagnostics.append(Diagnostic(Category.COMMAND, tok.span, tok.text))
+            _reference_recover(stream)
+            continue
+        statement, diag = _reference_parse_statement(stream, lines)
+        if diag is not None:
+            diagnostics.append(diag)
+            _reference_recover(stream)
+        else:
+            statements.append(statement)
+    return ParseOutcome(Program(tuple(statements), source), tuple(diagnostics))
 
 
 def reference_trace_to_jsonl(state: RobotState) -> str:
