@@ -2,7 +2,9 @@
 
 Exit codes are stable across subcommands: 0 success, 1 domain failure
 (diagnostics, simulation error, loop exhaustion), 2 input or configuration
-error, 3 transport error. Model configuration comes from RSL_API_KEY,
+error (including a file that cannot be read or written, or is not UTF-8),
+3 transport error. main is the one place that maps an exception to exit
+code 2 or 3. Model configuration comes from RSL_API_KEY,
 RSL_BASE_URL, and RSL_MODEL, overridable per flag; every subcommand takes
 --json for machine-readable output.
 """
@@ -14,10 +16,9 @@ import json
 import sys
 from pathlib import Path
 
-from .codegen import ManifestError, default_manifest, generate, load_manifest_file
+from .codegen import default_manifest, generate, load_manifest_file
 from .diagnostics import render
 from .harness import (
-    DatasetError,
     FailFirstTransport,
     OracleTransport,
     evaluate,
@@ -35,13 +36,12 @@ from .llm import (
 )
 from .orchestrator import (
     DEFAULT_MAX_PASSES,
-    TranslationAborted,
     make_prompt_parts,
     transcript_to_json,
     translate,
 )
 from .parser import check
-from .sim import SimError, WorldError, default_world, load_world_file, run, trace_to_jsonl
+from .sim import SimError, default_world, load_world_file, run, trace_to_jsonl
 from .syntax import render_program
 
 EXIT_OK = 0
@@ -53,12 +53,11 @@ EXIT_TRANSPORT = 3
 _OFFLINE_CONFIG = dict(base_url="http://offline.invalid", api_key="offline", max_retries=0)
 
 
-def _read_source(path: str) -> str | None:
+def _read_source(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        print(f"error: cannot read {path}: {err}", file=sys.stderr)
-        return None
+        raise OSError(f"cannot read {path}: {err}") from err
 
 
 def _print_json(doc) -> None:
@@ -85,29 +84,18 @@ def _diagnostics_json(diagnostics) -> list[dict]:
     ]
 
 
-def _load_arg(path: str | None, load_file, default):
-    """load_file(path), or default() when no path is given. On a file that
-    cannot be read or is malformed, prints the error and returns None."""
-    try:
-        return load_file(path) if path else default()
-    except (OSError, ManifestError, WorldError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None
-
-
-def _make_backend(args) -> tuple[ModelConfig, object] | int:
-    """Resolve (config, transport) from --backend; an int is an exit code."""
+def _make_backend(args) -> tuple[ModelConfig, object]:
+    """Resolve (config, transport) from --backend. An unusable endpoint
+    configuration is an LlmError, so it exits like a transport failure."""
     if args.backend == "http":
         try:
             config = config_from_env(
                 base_url=args.base_url, model_name=args.model, api_key=args.api_key
             )
         except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_TRANSPORT
+            raise LlmError(str(err)) from err
         if not config.api_key:
-            print(f"error: no API key: set {ENV_API_KEY} or pass --api-key", file=sys.stderr)
-            return EXIT_TRANSPORT
+            raise LlmError(f"no API key: set {ENV_API_KEY} or pass --api-key")
         return config, None
     config = ModelConfig(model_name=args.backend, **_OFFLINE_CONFIG)
     if args.backend == "oracle":
@@ -116,23 +104,15 @@ def _make_backend(args) -> tuple[ModelConfig, object] | int:
         return config, FailFirstTransport()
     # scripted
     if not args.responses:
-        print("error: --backend scripted requires --responses FILE", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        responses = json.loads(Path(args.responses).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"error: cannot load responses: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--backend scripted requires --responses FILE")
+    responses = json.loads(Path(args.responses).read_text(encoding="utf-8"))
     if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
-        print("error: responses file must be a JSON list of strings", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("responses file must be a JSON list of strings")
     return config, ScriptedTransport(responses)
 
 
 def cmd_check(args) -> int:
     source = _read_source(args.source)
-    if source is None:
-        return EXIT_INPUT
     outcome = check(source)
     if args.json:
         _print_json(
@@ -149,11 +129,7 @@ def cmd_check(args) -> int:
 
 def cmd_compile(args) -> int:
     source = _read_source(args.source)
-    if source is None:
-        return EXIT_INPUT
-    manifest = _load_arg(args.manifest, load_manifest_file, default_manifest)
-    if manifest is None:
-        return EXIT_INPUT
+    manifest = load_manifest_file(args.manifest) if args.manifest else default_manifest()
     outcome = check(source)
     if outcome.diagnostics:
         _print_diagnostics(outcome.diagnostics)
@@ -172,11 +148,7 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     source = _read_source(args.source)
-    if source is None:
-        return EXIT_INPUT
-    world = _load_arg(args.world, load_world_file, default_world)
-    if world is None:
-        return EXIT_INPUT
+    world = load_world_file(args.world) if args.world else default_world()
     outcome = check(source)
     if outcome.diagnostics:
         _print_diagnostics(outcome.diagnostics)
@@ -217,24 +189,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    backend = _make_backend(args)
-    if isinstance(backend, int):
-        return backend
-    config, transport = backend
+    config, transport = _make_backend(args)
     parts = make_prompt_parts(args.task, zero_shot=args.zero_shot)
     manifest = None
     if args.compile_to:
-        manifest = _load_arg(args.manifest, load_manifest_file, default_manifest)
-        if manifest is None:
-            return EXIT_INPUT
-    try:
-        outcome = translate(parts, config, args.max_passes, transport=transport)
-    except TranslationAborted as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        manifest = load_manifest_file(args.manifest) if args.manifest else default_manifest()
+    outcome = translate(parts, config, args.max_passes, transport=transport)
     if args.transcript:
         Path(args.transcript).write_text(
             transcript_to_json(outcome.transcript), encoding="utf-8"
@@ -267,35 +227,19 @@ def cmd_translate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    backend = _make_backend(args)
-    if isinstance(backend, int):
-        return backend
-    config, transport = backend
-    try:
-        tasks = load_tasks(args.dataset) if args.dataset else load_default_tasks()
-    except DatasetError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    world = _load_arg(args.world, load_world_file, default_world)
-    if world is None:
-        return EXIT_INPUT
+    config, transport = _make_backend(args)
+    tasks = load_tasks(args.dataset) if args.dataset else load_default_tasks()
+    world = load_world_file(args.world) if args.world else default_world()
     parts_template = make_prompt_parts("placeholder", zero_shot=args.zero_shot)
-    try:
-        report = evaluate(
-            tasks,
-            config,
-            parts_template,
-            world,
-            max_passes=args.max_passes,
-            transport=transport,
-            parallelism=args.parallelism,
-        )
-    except LlmError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    report = evaluate(
+        tasks,
+        config,
+        parts_template,
+        world,
+        max_passes=args.max_passes,
+        transport=transport,
+        parallelism=args.parallelism,
+    )
     Path(args.report_json).write_text(report_to_json(report), encoding="utf-8")
     Path(args.report_csv).write_text(report_to_csv(report), encoding="utf-8")
     if args.json:
@@ -380,8 +324,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. An LlmError exits 3; an OSError or ValueError
+    (unreadable, unwritable or non-UTF-8 file, malformed JSON, dataset,
+    manifest or world, bad argument) exits 2. Anything else is a bug and
+    keeps its traceback."""
     args = build_arg_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LlmError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_TRANSPORT
+    except (OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

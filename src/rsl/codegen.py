@@ -63,8 +63,6 @@ def load_manifest(text: str) -> SkillManifest:
     """
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except ManifestError:
-        raise
     except json.JSONDecodeError as err:
         raise ManifestError(f"manifest is not valid JSON: {err}") from err
     if not isinstance(doc, dict):

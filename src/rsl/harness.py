@@ -85,7 +85,7 @@ def load_tasks(path) -> list[TaskRecord]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DatasetError(f"cannot read dataset: {err}") from err
     except json.JSONDecodeError as err:
         raise DatasetError(f"dataset is not valid JSON: {err}") from err
@@ -246,8 +246,8 @@ class OracleTransport:
     """Deterministic stand-in model: replies with the hand-verified program
     for whichever benchmark task appears in the conversation."""
 
-    def __init__(self, programs: dict[str, str] | None = None) -> None:
-        self.programs = dict(programs) if programs is not None else _load_oracle_programs()
+    def __init__(self) -> None:
+        self.programs = _load_oracle_programs()
 
     def send(self, config: ModelConfig, payload: dict) -> dict:
         task = _find_task(payload["messages"], self.programs)
@@ -264,8 +264,8 @@ class FailFirstTransport:
     """Oracle wrapper whose first reply of each task's program drops the final
     semicolon, forcing exactly one feedback pass before the correct program."""
 
-    def __init__(self, programs: dict[str, str] | None = None) -> None:
-        self._oracle = OracleTransport(programs)
+    def __init__(self) -> None:
+        self._oracle = OracleTransport()
         self._replied: set[str] = set()
         self._lock = threading.Lock()
 

@@ -178,8 +178,6 @@ def complete(
         try:
             data = transport.send(config, payload)
             break
-        except AuthError:
-            raise
         except TransportError:
             failures += 1
             if failures > config.max_retries:
@@ -194,9 +192,6 @@ def config_from_env(
     base_url: str | None = None,
     model_name: str | None = None,
     api_key: str | None = None,
-    temperature: float = 0.0,
-    timeout: float = 60.0,
-    max_retries: int = 3,
 ) -> ModelConfig:
     """Resolve a ModelConfig from RSL_BASE_URL / RSL_MODEL / RSL_API_KEY,
     with explicit arguments taking precedence. Raises ValueError when the
@@ -213,7 +208,7 @@ def config_from_env(
         base_url=resolved_url,
         model_name=resolved_model,
         api_key=resolved_key,
-        temperature=temperature,
-        timeout=timeout,
-        max_retries=max_retries,
+        temperature=0.0,
+        timeout=60.0,
+        max_retries=3,
     )

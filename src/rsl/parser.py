@@ -169,7 +169,8 @@ def parse(tokens, source: str = "") -> ParseOutcome:
     missing-terminator diagnostics quote the statement verbatim."""
     stream = TokenStream(tokens)
     # Split once per parse; a split per diagnostic makes broken input quadratic.
-    lines = source.splitlines()
+    # Lines as the lexer counts them: splitlines() also breaks on "\r" and more.
+    lines = source.split("\n")
     statements: list[Statement] = []
     diagnostics: list[Diagnostic] = []
     while (tok := stream.peek()).kind is not _END:

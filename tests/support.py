@@ -459,7 +459,7 @@ def reference_parse(tokens, source: str = "") -> ParseOutcome:
     spans their validity check: every Statement and SourceSpan goes through
     its checked constructor, and each statement collects its tokens."""
     stream = _ReferenceStream(tokens)
-    lines = source.splitlines()
+    lines = source.split("\n")
     statements: list[Statement] = []
     diagnostics: list[Diagnostic] = []
     while stream.peek().kind is not TokenKind.END:

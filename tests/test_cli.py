@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rsl
 from rsl.cli import main
 
 
@@ -253,3 +258,58 @@ def test_eval_json_output(tmp_path, capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert doc["accuracy_count"] == 25
     assert len(doc["per_task"]) == 25
+
+
+# Input and output mistakes that are not domain failures: each exits 2 with
+# one "error:" line. BAD is a non-UTF-8 file; NODIR/ is a missing directory.
+IO_MISTAKES = {
+    "check-source": ["check", "BAD"],
+    "compile-source": ["compile", "BAD"],
+    "run-source": ["run", "BAD"],
+    "run-world": ["run", "OK", "--world", "BAD"],
+    "eval-world": ["eval", "--backend", "oracle", "--world", "BAD"],
+    "compile-manifest": ["compile", "OK", "--manifest", "BAD"],
+    "eval-dataset": ["eval", "--backend", "oracle", "--dataset", "BAD"],
+    "translate-responses": ["translate", "t", "--backend", "scripted", "--responses", "BAD"],
+    "compile-output": ["compile", "OK", "-o", "NODIR/c.py"],
+    "run-trace": ["run", "OK", "--trace", "NODIR/t.jsonl"],
+    "eval-report-json": ["eval", "--backend", "oracle", "--report-json", "NODIR/r.json"],
+    "eval-report-csv": ["eval", "--backend", "oracle", "--report-csv", "NODIR/r.csv"],
+    "translate-transcript": [
+        "translate", "t", "--backend", "scripted", "--responses", "REPLIES",
+        "--transcript", "NODIR/t.json",
+    ],
+    "translate-compile-to": [
+        "translate", "t", "--backend", "scripted", "--responses", "REPLIES",
+        "--compile-to", "NODIR/c.py",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", IO_MISTAKES.values(), ids=IO_MISTAKES.keys())
+def test_io_mistakes_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad").write_bytes(b'{"x": "caf\xe9"} forward 1;')
+    paths = {
+        "BAD": str(tmp_path / "bad"),
+        "OK": write(tmp_path, "ok.rsl", "forward 1;"),
+        "REPLIES": write(tmp_path, "replies.json", json.dumps(["forward 1;"])),
+    }
+    argv = [paths.get(a, a.replace("NODIR", str(tmp_path / "nodir"))) for a in argv]
+    assert main(argv) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error:"), err_lines
+
+
+def test_module_entry_point_exits_two_on_non_utf8_source(tmp_path):
+    source = tmp_path / "latin1.rsl"
+    source.write_bytes(b"grasp caf\xe9;")
+    src = str(Path(rsl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "rsl", "check", str(source)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr

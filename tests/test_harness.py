@@ -94,6 +94,13 @@ def test_malformed_file_rejected(tmp_path):
         load_tasks(tmp_path / "missing.json")
 
 
+def test_non_utf8_dataset_rejected(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'[{"id": "caf\xe9"}]')
+    with pytest.raises(DatasetError, match="cannot read dataset"):
+        load_tasks(path)
+
+
 def test_every_oracle_program_verifies_and_is_accurate():
     world = default_world()
     programs = _load_oracle_programs()

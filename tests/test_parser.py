@@ -69,6 +69,16 @@ def test_semicolon_error():
     assert (d.span.col_start, d.span.col_end) == (1, 14)
 
 
+def test_semicolon_quote_ignores_non_newline_line_breaks():
+    # str.splitlines() breaks on all of these; the lexer counts "\n" only.
+    for ch in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        for source in (f"forward 1;{ch}turnleft 2", f"/* a{ch}b */ turnleft 2"):
+            semicolon = [
+                d for d in check(source).diagnostics if d.category is Category.SEMICOLON
+            ]
+            assert [d.token_text for d in semicolon] == ["turnleft 2"], repr(source)
+
+
 def test_three_statement_program():
     out = parse_source("forward 2; turnleft 1.57; grasp cup;")
     assert not out.diagnostics
