@@ -128,12 +128,8 @@ def load_tasks(path) -> list[TaskRecord]:
     return records
 
 
-def default_tasks_path():
-    return resources.files("rsl.data").joinpath("tasks.json")
-
-
 def load_default_tasks() -> list[TaskRecord]:
-    with resources.as_file(default_tasks_path()) as path:
+    with resources.as_file(resources.files("rsl.data").joinpath("tasks.json")) as path:
         return load_tasks(path)
 
 

@@ -1,12 +1,17 @@
 """Table-driven scanner: source text to a token stream.
 
 One master regular expression, _TOKEN_RE, names every lexeme class; lex walks
-its matches in order and dispatches on the class that matched, so every
-character of the source belongs to exactly one match. Gaps (whitespace,
-newlines, closed comments) are a prefix of the next lexeme's match, or of a
-last match at the end, so the scan takes one step per token. Line and column
-come from the last newline seen, searched for only in gaps that are not empty.
-Spans are valid by construction, so tokens and spans skip SourceSpan's check.
+its matches in order and dispatches on what matched, so every character of
+the source belongs to exactly one match. A well-formed statement on one line,
+with a lowercase keyword and only spaces and tabs inside, is one match: there
+is one alternative per parameter shape in STATEMENT_SCHEMAS, and lex emits
+the statement's tokens from its groups. Anything else, such as a statement
+broken across lines or by a comment, a case-variant keyword or a bad lexeme,
+falls back to one match per token. Gaps (whitespace, newlines, closed
+comments) are a prefix of the next match, or of a last match at the end.
+Line and column come from the last newline seen, searched for only in gaps
+that are not empty. Spans are valid by construction, so tokens and spans
+skip SourceSpan's check.
 
 Lexical problems never abort the scan. Each one becomes a diagnostic in one of
 the five lexical categories, and where the intended token is obvious the
@@ -33,7 +38,52 @@ import sys
 from dataclasses import dataclass
 
 from .diagnostics import Category, Diagnostic
-from .syntax import KEYWORDS, SourceSpan, Token, TokenKind
+from .syntax import KEYWORDS, STATEMENT_SCHEMAS, SourceSpan, Token, TokenKind
+
+# Enum members as module globals: a lookup on the class runs EnumType's hook.
+_KEYWORD, _IDENTIFIER, _NUMBER = TokenKind.KEYWORD, TokenKind.IDENTIFIER, TokenKind.NUMBER
+_SEMICOLON, _COMMA, _END = TokenKind.SEMICOLON, TokenKind.COMMA, TokenKind.END
+_BAD_KEYWORD, _BAD_IDENTIFIER = Category.KEYWORD, Category.IDENTIFIER
+_BAD_NUMBER, _BAD_CHARACTER, _BAD_COMMENT = Category.NUMBER, Category.CHARACTER, Category.COMMENT
+_new = tuple.__new__
+_isfinite = math.isfinite
+
+
+def _statement_alternatives() -> tuple[str, dict[str, tuple]]:
+    """One alternative per parameter shape in STATEMENT_SCHEMAS, a whole
+    statement on one line: a lowercase keyword of that shape, its parameters
+    with a comma between each two, and the semicolon. Only spaces and tabs
+    come between them, and at least one after a keyword with parameters.
+    Also returns, per alternative of _TOKEN_RE, the (group, kind) of each
+    lexeme it matches, in order; a kind that is a Category is a diagnostic,
+    and a word is an identifier unless it is a keyword in some case."""
+    lexemes = {kind: ((kind, lexeme),) for kind, lexeme in (
+        ("word", _IDENTIFIER), ("numeral", _NUMBER), ("semicolon", _SEMICOLON), ("comma", _COMMA),
+        ("unclosed", _BAD_COMMENT), ("slash", _BAD_COMMENT), ("char", _BAD_CHARACTER))}
+    shapes: dict[tuple[str, ...], list[str]] = {}
+    for keyword, schema in STATEMENT_SCHEMAS.items():
+        shapes.setdefault(schema, []).append(keyword)
+    # A number is followed by spaces or tabs and "," or ";", which cannot
+    # continue a numeral, so "2.5.3" and "3apple" still go to numeral.
+    number = (r"-?[0-9]+(?:\.[0-9]+)?", _NUMBER)
+    parameter = {"number": number, "object": (r"[A-Za-z_][A-Za-z0-9_]*", _IDENTIFIER)}
+    alternatives = []
+    for index, (schema, keywords) in enumerate(shapes.items()):
+        name = f"s{index}"
+        pattern, groups = f"(?P<{name}k>{'|'.join(keywords)})", [(f"{name}k", _KEYWORD)]
+        for i, param in enumerate(schema):
+            if i:
+                pattern += rf"[ \t]*(?P<{name}c{i}>,)"
+                groups.append((f"{name}c{i}", _COMMA))
+            regex, kind = parameter[param]
+            pattern += rf"[ \t]{'*' if i else '+'}(?P<{name}p{i}>{regex})"
+            groups.append((f"{name}p{i}", kind))
+        alternatives.append(rf"(?P<{name}>{pattern}[ \t]*(?P<{name}t>;))")
+        lexemes[name] = (*groups, (f"{name}t", _SEMICOLON))
+    return "|".join(alternatives), lexemes
+
+
+_STATEMENT_ALTERNATIVES, _LEXEMES = _statement_alternatives()
 
 # Alternatives are tried in order at each position. Character classes are
 # spelled out in ASCII because \w and \d also match letters and digits of
@@ -42,7 +92,10 @@ from .syntax import KEYWORDS, SourceSpan, Token, TokenKind
 _TOKEN_RE = re.compile(
     # The search for */ starts after the /*, so "/*/" does not close.
     r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
-    r"(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    # A clean one-line statement whose keyword is lowercase: one match, with
+    # only spaces and tabs between its tokens.
+    rf"(?:{_STATEMENT_ALTERNATIVES}"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
     # A digit-led run of letters, digits and dots is one lexeme, so that
     # "123.23.45" and "3apple" each become a single diagnostic. It is a number
     # when all of it is its prefix: an optional sign, digits and an optional
@@ -60,13 +113,6 @@ _TOKEN_RE = re.compile(
 )
 _LETTER_RE = re.compile(r"[A-Za-z_]")
 _FLOAT_MAX = sys.float_info.max
-
-# Enum members as module globals: a lookup on the class runs EnumType's hook.
-_KEYWORD, _IDENTIFIER, _NUMBER = TokenKind.KEYWORD, TokenKind.IDENTIFIER, TokenKind.NUMBER
-_SEMICOLON, _COMMA, _END = TokenKind.SEMICOLON, TokenKind.COMMA, TokenKind.END
-_BAD_KEYWORD, _BAD_IDENTIFIER = Category.KEYWORD, Category.IDENTIFIER
-_BAD_NUMBER, _BAD_CHARACTER, _BAD_COMMENT = Category.NUMBER, Category.CHARACTER, Category.COMMENT
-_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -87,47 +133,43 @@ def lex(source: str) -> LexOutcome:
     # lexeme, so source[pos:start] is the gap before the next one.
     line, line_start, pos = 1, 0, 0
     for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        start = m.start(kind)
+        alternative = m.lastgroup
+        start = m.start(alternative)
         if start != pos and (newlines := source.count("\n", pos, start)):
             line += newlines
             line_start = source.rfind("\n", pos, start) + 1
-        if kind == "end":
+        if alternative == "end":
             break
-        text = m.group(kind)
-        pos = start + len(text)
-        col = start - line_start + 1
-        span = _new(SourceSpan, (line, col, col + len(text) - 1))
-        if kind == "word":
-            keyword = text.lower()
-            if keyword not in KEYWORDS:
-                tokens.append(_new(Token, (_IDENTIFIER, text, span, None, None)))
-            else:
+        for group, kind in _LEXEMES[alternative]:
+            text = m.group(group)
+            col = m.start(group) - line_start + 1
+            span = _new(SourceSpan, (line, col, col + len(text) - 1))
+            if kind is _NUMBER:
+                # A number in a statement match is all prefix.
+                prefix = m.group("prefix") or text
+                value = float(prefix)
+                if len(prefix) == len(text) and _isfinite(value):
+                    tokens.append(_new(Token, (_NUMBER, text, span, None, value)))
+                elif _LETTER_RE.search(text):
+                    diagnostics.append(Diagnostic(_BAD_IDENTIFIER, span, text))
+                    tokens.append(_new(Token, (_IDENTIFIER, text, span, None, None)))
+                else:
+                    # The recovered value is the prefix's, or the largest finite
+                    # float of its sign when the prefix is too large for one.
+                    diagnostics.append(Diagnostic(_BAD_NUMBER, span, text))
+                    value = max(-_FLOAT_MAX, min(value, _FLOAT_MAX))
+                    tokens.append(_new(Token, (_NUMBER, text, span, None, value)))
+            elif kind is _IDENTIFIER and (keyword := text.lower()) in KEYWORDS:
                 if keyword != text:
                     diagnostics.append(Diagnostic(_BAD_KEYWORD, span, text))
                 tokens.append(_new(Token, (_KEYWORD, text, span, keyword, None)))
-        elif kind == "numeral":
-            prefix = m.group("prefix")
-            value = float(prefix)
-            if len(prefix) == len(text) and math.isfinite(value):
-                tokens.append(_new(Token, (_NUMBER, text, span, None, value)))
-            elif _LETTER_RE.search(text):
-                diagnostics.append(Diagnostic(_BAD_IDENTIFIER, span, text))
-                tokens.append(_new(Token, (_IDENTIFIER, text, span, None, None)))
-            else:
-                # The recovered value is the prefix's, or the largest finite
-                # float of its sign when the prefix is too large for one.
-                diagnostics.append(Diagnostic(_BAD_NUMBER, span, text))
-                value = max(-_FLOAT_MAX, min(value, _FLOAT_MAX))
-                tokens.append(_new(Token, (_NUMBER, text, span, None, value)))
-        elif kind == "semicolon":
-            tokens.append(_new(Token, (_SEMICOLON, text, span, None, None)))
-        elif kind == "comma":
-            tokens.append(_new(Token, (_COMMA, text, span, None, None)))
-        elif kind == "char":
-            diagnostics.append(Diagnostic(_BAD_CHARACTER, span, text))
-        else:  # unclosed or slash; the rest an unclosed block swallows is a gap
-            diagnostics.append(Diagnostic(_BAD_COMMENT, span, text))
+            elif kind is _BAD_CHARACTER or kind is _BAD_COMMENT:
+                # The rest of the input an unclosed block swallows is a gap.
+                diagnostics.append(Diagnostic(kind, span, text))
+            else:  # a statement's keyword, an identifier, a comma or a semicolon
+                keyword = text if kind is _KEYWORD else None
+                tokens.append(_new(Token, (kind, text, span, keyword, None)))
+        pos = m.end(group)
     col = len(source) - line_start + 1
     tokens.append(_new(Token, (_END, "", _new(SourceSpan, (line, col, col)), None, None)))
     return LexOutcome(tuple(tokens), tuple(diagnostics))

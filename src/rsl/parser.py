@@ -1,14 +1,16 @@
 """LL(1) parse of the token stream into a Program, plus semantic validation.
 
 Statement dispatch inspects exactly one lookahead token and the stream only
-moves forward; there is no backtracking. Within a statement the checks run in
-a fixed order so at most one diagnostic fires per statement: command keyword,
-then parameter kinds in position order, then arity, then the terminator.
+moves forward; there is no backtracking. Match, else diagnose: at a keyword,
+the kinds of the tokens after it are compared with its STATEMENT_SCHEMAS
+entry, parameters with commas between them and then a semicolon, and a
+statement that matches is taken in one step. syntax.trusted_statement builds
+it without Statement's schema re-check. Otherwise the tokens are checked one
+at a time in a fixed order, so exactly one diagnostic fires per statement:
+parameter kinds in position order, then arity, then the terminator. A token
+that is not a keyword where a statement starts is a Command diagnostic.
 After a diagnostic the parser skips to the next semicolon or keyword and
 continues, so a single pass reports every broken statement.
-
-A parsed statement has matched its STATEMENT_SCHEMAS entry token by token, so
-syntax.trusted_statement builds it without Statement's schema re-check.
 """
 
 from __future__ import annotations
@@ -34,13 +36,18 @@ _KEYWORD, _IDENTIFIER, _NUMBER = TokenKind.KEYWORD, TokenKind.IDENTIFIER, TokenK
 _SEMICOLON, _COMMA, _END = TokenKind.SEMICOLON, TokenKind.COMMA, TokenKind.END
 _BAD_COMMAND, _BAD_PARAMETER = Category.COMMAND, Category.PARAMETER
 _BAD_QUANTITY, _BAD_SEMICOLON = Category.QUANTITY, Category.SEMICOLON
+_new = tuple.__new__
 
 # Tuples, whose membership test compares identities, not Enum.__hash__ values.
 _SYNC_KINDS = (_SEMICOLON, _KEYWORD, _END)
 _ARGUMENT_KINDS = (_NUMBER, _IDENTIFIER, _COMMA)
-# Per keyword, the token kind of each parameter in position order.
-_TOKEN_KIND = {"number": _NUMBER, "object": _IDENTIFIER}
-_PARAM_KINDS = {kw: tuple(map(_TOKEN_KIND.get, schema)) for kw, schema in STATEMENT_SCHEMAS.items()}
+# Per keyword, the kinds of the tokens after it in a well-formed statement:
+# its parameters in position order, a comma between each two, a semicolon.
+_PARAM_KIND = {"number": _NUMBER, "object": _IDENTIFIER}
+_STATEMENT_KINDS = {
+    kw: [kind for param in schema for kind in (_COMMA, _PARAM_KIND[param])][1:] + [_SEMICOLON]
+    for kw, schema in STATEMENT_SCHEMAS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -76,13 +83,21 @@ class TokenStream:
             self._pos += 1
         return tok
 
+    def skip(self, count: int) -> None:
+        """Move past count tokens that are known to come before END."""
+        self._pos += count
 
-def _statement_text(consumed: list[Token], lines: list[str]) -> str:
+
+def _statement_text(consumed: list[Token], source: str, lines: list[str]) -> str:
     """Source text of a statement, for missing-terminator diagnostics.
 
     Prefers the exact slice of the source lines; falls back to re-joining
     token texts when the statement spans lines or no source is available.
+    lines holds the source split once per parse, on first use here: a split
+    per diagnostic would make broken input quadratic.
     """
+    if not lines:  # lines as the lexer counts them; splitlines() breaks on "\r" too
+        lines += source.split("\n")
     first, last = consumed[0], consumed[-1]
     if first.span.line == last.span.line and first.span.line <= len(lines):
         line_text = lines[first.span.line - 1]
@@ -98,7 +113,7 @@ def _statement_text(consumed: list[Token], lines: list[str]) -> str:
 def _statement_span(first: Token, last: Token) -> SourceSpan:
     """first to last if on one line, else first's; valid, as tokens are in order."""
     if first.span.line == last.span.line:
-        return tuple.__new__(SourceSpan, (first.span.line, first.span.col_start, last.span.col_end))
+        return _new(SourceSpan, (first.span.line, first.span.col_start, last.span.col_end))
     return first.span
 
 
@@ -112,7 +127,7 @@ def _recover(stream: TokenStream) -> None:
 
 
 def _diag_at(
-    category: Category, tok: Token, stream: TokenStream, first: int, lines: list[str]
+    category: Category, tok: Token, stream: TokenStream, first: int, source: str, lines: list[str]
 ) -> Diagnostic:
     """A diagnostic at tok. A missing semicolon, or one found at END where
     there is nothing to point at, names the statement parsed so far."""
@@ -120,47 +135,31 @@ def _diag_at(
         return Diagnostic(category, tok.span, tok.text)
     consumed = stream._tokens[first : stream.pos]
     span = _statement_span(consumed[0], consumed[-1])
-    return Diagnostic(category, span, _statement_text(consumed, lines))
+    return Diagnostic(category, span, _statement_text(consumed, source, lines))
 
 
-def _parse_statement(
-    stream: TokenStream, lines: list[str]
-) -> tuple[Statement | None, Diagnostic | None]:
+def _statement_diagnostic(
+    stream: TokenStream, expected: list[TokenKind], source: str, lines: list[str]
+) -> Diagnostic:
+    """The one diagnostic of a statement whose tokens after the keyword are
+    not all of the expected kinds, at the first token that is not. The walk
+    ends at the semicolon slot, the last, at the latest."""
     first = stream.pos
-    kw_tok = stream.advance()
-    keyword = kw_tok.keyword or kw_tok.text
-    args: list[Number | str] = []
-
-    for kind in _PARAM_KINDS[keyword]:
-        if args:  # a comma comes before each parameter after the first
-            sep = stream.peek()
-            if sep.kind is not _COMMA:
-                # Parameter list loses its shape here: wrong count/structure.
-                return None, _diag_at(_BAD_QUANTITY, sep, stream, first, lines)
-            stream.advance()
+    stream.advance()
+    for kind in expected:
         tok = stream.peek()
-        if tok.kind is kind:
+        if kind is _SEMICOLON:
+            # Not a semicolon, or the statement would have matched: an argument
+            # too many, or KEYWORD or END, so it simply was not terminated.
+            category = _BAD_QUANTITY if tok.kind in _ARGUMENT_KINDS else _BAD_SEMICOLON
+        elif tok.kind is kind:
             stream.advance()
-            if kind is _NUMBER:
-                value = tok.value if tok.value is not None else 0.0
-                args.append(tuple.__new__(Number, (value, tok.text)))
-            else:
-                args.append(tok.text)
-        elif tok.kind in _ARGUMENT_KINDS:
-            return None, _diag_at(_BAD_PARAMETER, tok, stream, first, lines)
-        else:
-            # SEMICOLON, KEYWORD, or END before the schema was satisfied.
-            return None, _diag_at(_BAD_QUANTITY, tok, stream, first, lines)
-
-    terminator = stream.peek()
-    if terminator.kind is _SEMICOLON:
-        stream.advance()
-        span = _statement_span(kw_tok, terminator)
-        return trusted_statement(keyword, tuple(args), span), None
-    if terminator.kind in _ARGUMENT_KINDS:
-        return None, _diag_at(_BAD_QUANTITY, terminator, stream, first, lines)
-    # KEYWORD or END: the statement simply was not terminated.
-    return None, _diag_at(_BAD_SEMICOLON, terminator, stream, first, lines)
+            continue
+        elif kind is not _COMMA and tok.kind in _ARGUMENT_KINDS:
+            category = _BAD_PARAMETER  # a wrong argument
+        else:  # a missing comma, or SEMICOLON, KEYWORD or END too early
+            category = _BAD_QUANTITY
+        return _diag_at(category, tok, stream, first, source, lines)
 
 
 def parse(tokens, source: str = "") -> ParseOutcome:
@@ -168,22 +167,30 @@ def parse(tokens, source: str = "") -> ParseOutcome:
     lexical diagnostics themselves (check() does). The optional source lets
     missing-terminator diagnostics quote the statement verbatim."""
     stream = TokenStream(tokens)
-    # Split once per parse; a split per diagnostic makes broken input quadratic.
-    # Lines as the lexer counts them: splitlines() also breaks on "\r" and more.
-    lines = source.split("\n")
+    tokens = stream._tokens
+    kinds = [tok.kind for tok in tokens]
+    lines: list[str] = []
     statements: list[Statement] = []
     diagnostics: list[Diagnostic] = []
-    while (tok := stream.peek()).kind is not _END:
+    while (tok := tokens[first := stream._pos]).kind is not _END:
         if tok.kind is not _KEYWORD:
             diagnostics.append(Diagnostic(_BAD_COMMAND, tok.span, tok.text))
             _recover(stream)
             continue
-        statement, diag = _parse_statement(stream, lines)
-        if diag is not None:
-            diagnostics.append(diag)
-            _recover(stream)
-        else:
-            statements.append(statement)  # type: ignore[arg-type]
+        # Match, else diagnose: a statement whose tokens are all of the
+        # expected kinds is taken in one step.
+        keyword = tok.keyword or tok.text
+        end = first + len(expected := _STATEMENT_KINDS[keyword])
+        if kinds[first + 1 : end + 1] == expected:
+            args = ()
+            for t in tokens[first + 1 : end : 2]:
+                value = 0.0 if t.value is None else t.value
+                args += (_new(Number, (value, t.text)) if t.kind is _NUMBER else t.text,)
+            statements.append(trusted_statement(keyword, args, _statement_span(tok, tokens[end])))
+            stream.skip(end + 1 - first)
+            continue
+        diagnostics.append(_statement_diagnostic(stream, expected, source, lines))
+        _recover(stream)
     return ParseOutcome(Program(tuple(statements), source), tuple(diagnostics))
 
 

@@ -121,6 +121,39 @@ def random_gapped_source(rng: random.Random) -> str:
     return "".join(parts)
 
 
+# Runs of spaces and tabs, the only gaps inside a one-line statement match.
+_SPACES = ("", " ", " ", "  ", "\t", " \t ")
+# Lexemes that look like a parameter but must not be lexed as a clean one.
+_ODD_NUMBERS = ("2.5.3", "3apple", "9" * 400, "-" + "9" * 400, "1.", "-0", "007", "1e5")
+_ODD_OBJECTS = ("Forward", "goto", "GRASP", "perceive", "x1", "_", "Approach_")
+
+
+def random_spaced_source(rng: random.Random) -> str:
+    """A random program with one statement per line and a random run of
+    spaces and tabs around every token, mostly well-formed statements. Now
+    and then a parameter is odd (a malformed or huge number, an object word
+    that is a keyword in some case), a gap between two words is empty, or a
+    line ends in a comment or runs on into the next statement."""
+    lines = []
+    for statement in random_program(rng, max_len=8).statements:
+        tokens = [statement.keyword]
+        for index, arg in enumerate(statement.args):
+            if index:
+                tokens.append(",")
+            if rng.random() < 0.1:
+                arg = rng.choice(_ODD_NUMBERS if isinstance(arg, Number) else _ODD_OBJECTS)
+            tokens.append(arg.raw if isinstance(arg, Number) else arg)
+        line = rng.choice(_SPACES)
+        for index, token in enumerate(tokens + [";"]):
+            gap = rng.choice(_SPACES)
+            if index == 1 and not gap and rng.random() < 0.8:
+                gap = " "  # keep keyword and first parameter apart, mostly
+            line += (gap if index else "") + token
+        line += rng.choice(("",) * 8 + ("// note", "/* x */", "/*", ";", "perceive;"))
+        lines.append(line + rng.choice(_SPACES))
+    return "\n".join(lines)
+
+
 def single_char_mutant(rng: random.Random, source: str) -> str:
     """source with one character deleted, replaced or inserted."""
     alphabet = "aZ_09.-;,/* \n\t$\u00e9"

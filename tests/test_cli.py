@@ -313,3 +313,32 @@ def test_module_entry_point_exits_two_on_non_utf8_source(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("error:")
     assert "Traceback" not in done.stderr
+
+
+# A --world, --manifest or --responses file that cannot be loaded is named
+# in the one error line. FILE holds the given bytes.
+NAMED_FILE_MISTAKES = {
+    "run-world-non-utf8": (["run", "OK", "--world", "FILE"], b"\xff"),
+    "eval-world-non-utf8": (["eval", "--backend", "oracle", "--world", "FILE"], b"\xff"),
+    "compile-manifest-non-utf8": (["compile", "OK", "--manifest", "FILE"], b"\xff"),
+    "translate-responses-non-utf8": (
+        ["translate", "t", "--backend", "scripted", "--responses", "FILE"], b"\xff"
+    ),
+    "translate-responses-bad-json": (
+        ["translate", "t", "--backend", "scripted", "--responses", "FILE"], b"x"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, content", NAMED_FILE_MISTAKES.values(), ids=NAMED_FILE_MISTAKES.keys()
+)
+def test_load_errors_name_the_file(argv, content, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "input.json"
+    bad.write_bytes(content)
+    paths = {"FILE": str(bad), "OK": write(tmp_path, "ok.rsl", "forward 1;")}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error:"), err_lines
+    assert str(bad) in err_lines[0], err_lines

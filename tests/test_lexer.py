@@ -4,7 +4,8 @@ import random
 from rsl import Category, RobotState, TokenKind, check, default_world, lex, run
 from rsl.syntax import KEYWORDS
 
-from support import ReferenceScanner, random_junk_source
+import rsl.lexer as lexer_mod
+from support import ReferenceScanner, random_junk_source, random_spaced_source
 
 
 def kinds(outcome):
@@ -236,3 +237,33 @@ def test_lexer_matches_reference_scanner():
         if (out.tokens, out.diagnostics) != ReferenceScanner(source).scan():
             mismatches.append(source)
     assert mismatches == []
+
+
+# Inputs where a whole-statement match most easily drifts from per-token
+# matching: each must give the tokens and diagnostics the old scanner gives.
+STATEMENT_EDGE_CASES = (
+    "grasp Forward;", "approach goto;", "approach PERCEIVE ;", "grasp grasp;",
+    "forward 2.5.3;", "forward 3apple;", "goto 1, 2.5.3;", "goto 3apple, 1;", "forward 1.;",
+    "forward " + "9" * 400 + ";", "goto -" + "9" * 400 + ", " + "9" * 400 + ";",
+    "goto 1 ,2 ;", "goto 1,2;", "goto\t-1\t,\t-2\t;", "perceive;;", "perceive ;", "forward1;",
+    "forward -1;", "forward-1;", "goto 1, 2, 3;", "goto 1 2;", "grasp cup x;",
+    "forward 1;// note", "forward 1;/* x */perceive;", "perceive;/*", "grasp cup;/",
+    "forwardx 1;", "perceivex;", "graspcup;", "gotox 1, 2;", "forward 1;perceive;",
+    "forward 1\n;", "forward\n1;", "forward /* x */ 1;", "forward 1 // x\n;", "forward 1\r;",
+    "Forward 1;", "forward 1$;", "forward \u00e91;", "grasp caf\u00e9;", "forward 1\u0661;",
+)
+
+
+def test_statement_alternatives_match_reference_scanner():
+    rng = random.Random(20261018)
+    sources = [*STATEMENT_EDGE_CASES, *(random_spaced_source(rng) for _ in range(20_000))]
+    whole = 0
+    for source in sources:
+        out = lex(source)
+        assert (out.tokens, out.diagnostics) == ReferenceScanner(source).scan(), source
+        whole += any(
+            len(lexer_mod._LEXEMES[m.lastgroup]) > 1
+            for m in lexer_mod._TOKEN_RE.finditer(source) if m.lastgroup != "end"
+        )
+    # The inputs mostly take the whole-statement alternatives under test.
+    assert whole > 0.8 * len(sources)

@@ -170,19 +170,32 @@ def test_no_backtracking(monkeypatch):
             events.append((before, self.pos))
             return token
 
+        # A statement whose tokens all match is passed in one step.
+        def skip(self, count):
+            before = self.pos
+            super().skip(count)
+            events.append((before, self.pos))
+
     monkeypatch.setattr(parser_mod, "TokenStream", SpyStream)
     rng = random.Random(99)
     sources = [
         "forward 2; turnleft 1.57; grasp cup;",
         "move 1; goto 2; approach table",
         "goto 1, 2, 3; perceive; forward table;",
-    ] + [random_junk_source(rng) for _ in range(60)]
+    ] + [random_junk_source(rng) for _ in range(60)] + [
+        random_gapped_source(rng) for _ in range(60)
+    ]
     for source in sources:
         events.clear()
-        parser_mod.parse(lex(source).tokens, source)
+        tokens = lex(source).tokens
+        parser_mod.parse(tokens, source)
         positions = [before for before, _ in events]
         assert positions == sorted(positions), source
         assert all(after >= before for before, after in events), source
+        # Every move is seen: each starts where the last one ended, and
+        # together they pass every token before END.
+        assert all(a[1] == b[0] for a, b in zip(events, events[1:])), source
+        assert (events[-1][1] if events else 0) == len(tokens) - 1, source
 
 
 def test_fuzz_only_categorized_diagnostics():
