@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .codegen import default_manifest, generate, load_manifest
+from .codegen import default_manifest, generate, load_manifest_file
 from .diagnostics import render
 from .harness import (
     FailFirstTransport,
@@ -41,7 +41,7 @@ from .orchestrator import (
     translate,
 )
 from .parser import check
-from .sim import SimError, default_world, load_world, run, trace_to_jsonl
+from .sim import SimError, default_world, load_world_file, run, trace_to_jsonl
 from .syntax import render_program
 
 EXIT_OK = 0
@@ -53,8 +53,7 @@ EXIT_TRANSPORT = 3
 _OFFLINE_CONFIG = dict(base_url="http://offline.invalid", api_key="offline", max_retries=0)
 
 
-def _read_text(path: str) -> str:
-    """A file's text; an unreadable or non-UTF-8 file is an error naming it."""
+def _read_source(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -109,16 +108,16 @@ def _make_backend(args) -> tuple[ModelConfig, object]:
     if not args.responses:
         raise ValueError("--backend scripted requires --responses FILE")
     try:
-        responses = json.loads(_read_text(args.responses))
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{args.responses} is not valid JSON: {err}") from err
+        responses = json.loads(Path(args.responses).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        raise ValueError(f"cannot load responses {args.responses}: {err}") from err
     if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
-        raise ValueError("responses file must be a JSON list of strings")
+        raise ValueError(f"responses file {args.responses} must be a JSON list of strings")
     return config, ScriptedTransport(responses)
 
 
 def cmd_check(args) -> int:
-    source = _read_text(args.source)
+    source = _read_source(args.source)
     outcome = check(source)
     if args.json:
         _print_json(
@@ -134,8 +133,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    source = _read_text(args.source)
-    manifest = load_manifest(_read_text(args.manifest)) if args.manifest else default_manifest()
+    source = _read_source(args.source)
+    manifest = load_manifest_file(args.manifest) if args.manifest else default_manifest()
     outcome = check(source)
     if outcome.diagnostics:
         _print_diagnostics(outcome.diagnostics)
@@ -153,8 +152,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    source = _read_text(args.source)
-    world = load_world(_read_text(args.world)) if args.world else default_world()
+    source = _read_source(args.source)
+    world = load_world_file(args.world) if args.world else default_world()
     outcome = check(source)
     if outcome.diagnostics:
         _print_diagnostics(outcome.diagnostics)
@@ -199,21 +198,17 @@ def cmd_translate(args) -> int:
     parts = make_prompt_parts(args.task, zero_shot=args.zero_shot)
     manifest = None
     if args.compile_to:
-        manifest = load_manifest(_read_text(args.manifest)) if args.manifest else default_manifest()
+        manifest = load_manifest_file(args.manifest) if args.manifest else default_manifest()
     outcome = translate(parts, config, args.max_passes, transport=transport)
     if args.transcript:
-        Path(args.transcript).write_text(
-            transcript_to_json(outcome.transcript), encoding="utf-8"
-        )
+        Path(args.transcript).write_text(transcript_to_json(outcome.transcript), encoding="utf-8")
     last_diagnostics = outcome.raw_history[-1][1] if outcome.raw_history else ()
     if args.json:
         _print_json(
             {
                 "verified": outcome.verified,
                 "passes": outcome.passes,
-                "program": render_program(outcome.program)
-                if outcome.program is not None
-                else None,
+                "program": None if outcome.program is None else render_program(outcome.program),
                 "diagnostics": _diagnostics_json(last_diagnostics),
             }
         )
@@ -226,25 +221,18 @@ def cmd_translate(args) -> int:
         print(render_program(outcome.program))
         print(f"passes: {outcome.passes}")
     if args.compile_to:
-        Path(args.compile_to).write_text(
-            generate(outcome.program, manifest), encoding="utf-8"
-        )
+        Path(args.compile_to).write_text(generate(outcome.program, manifest), encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     config, transport = _make_backend(args)
     tasks = load_tasks(args.dataset) if args.dataset else load_default_tasks()
-    world = load_world(_read_text(args.world)) if args.world else default_world()
+    world = load_world_file(args.world) if args.world else default_world()
     parts_template = make_prompt_parts("placeholder", zero_shot=args.zero_shot)
     report = evaluate(
-        tasks,
-        config,
-        parts_template,
-        world,
-        max_passes=args.max_passes,
-        transport=transport,
-        parallelism=args.parallelism,
+        tasks, config, parts_template, world, max_passes=args.max_passes,
+        transport=transport, parallelism=args.parallelism,
     )
     Path(args.report_json).write_text(report_to_json(report), encoding="utf-8")
     Path(args.report_csv).write_text(report_to_csv(report), encoding="utf-8")

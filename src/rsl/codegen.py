@@ -113,8 +113,11 @@ def load_manifest(text: str) -> SkillManifest:
 
 
 def load_manifest_file(path) -> SkillManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_manifest(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_manifest(fh.read())
+    except (OSError, UnicodeDecodeError, ManifestError) as err:
+        raise ManifestError(f"cannot load manifest {path}: {err}") from err
 
 
 def default_manifest() -> SkillManifest:

@@ -18,7 +18,6 @@ import fnmatch
 import io
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Sequence
@@ -359,6 +358,8 @@ def evaluate(
     if parallelism == 1:
         results = [worker(task) for task in tasks]
     else:
+        # Imported here: it loads logging and more, which serial runs never need.
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(worker, tasks))
     results.sort(key=lambda r: r.id)

@@ -78,8 +78,10 @@ def _statement_alternatives() -> tuple[str, dict[str, tuple]]:
             regex, kind = parameter[param]
             pattern += rf"[ \t]{'*' if i else '+'}(?P<{name}p{i}>{regex})"
             groups.append((f"{name}p{i}", kind))
-        alternatives.append(rf"(?P<{name}>{pattern}[ \t]*(?P<{name}t>;))")
-        lexemes[name] = (*groups, (f"{name}t", _SEMICOLON))
+        # The semicolon's group, the last to close, names the alternative: a
+        # group around all of it would add to the cost of every match.
+        alternatives.append(rf"{pattern}[ \t]*(?P<{name}>;)")
+        lexemes[name] = (*groups, (name, _SEMICOLON))
     return "|".join(alternatives), lexemes
 
 
@@ -130,7 +132,8 @@ def lex(source: str) -> LexOutcome:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
     # line_start: offset of the line's first character; pos: end of the last
-    # lexeme, so source[pos:start] is the gap before the next one.
+    # lexeme. source[pos:start] is the gap before the next lexeme, plus, for a
+    # statement match (named by its semicolon), the statement's newline-free text.
     line, line_start, pos = 1, 0, 0
     for m in _TOKEN_RE.finditer(source):
         alternative = m.lastgroup

@@ -78,8 +78,11 @@ def load_world(text: str) -> World:
 
 
 def load_world_file(path) -> World:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_world(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_world(fh.read())
+    except (OSError, UnicodeDecodeError, WorldError) as err:
+        raise WorldError(f"cannot load world {path}: {err}") from err
 
 
 def default_world() -> World:

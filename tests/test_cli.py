@@ -320,12 +320,17 @@ def test_module_entry_point_exits_two_on_non_utf8_source(tmp_path):
 NAMED_FILE_MISTAKES = {
     "run-world-non-utf8": (["run", "OK", "--world", "FILE"], b"\xff"),
     "eval-world-non-utf8": (["eval", "--backend", "oracle", "--world", "FILE"], b"\xff"),
+    "run-world-bad-json": (["run", "OK", "--world", "FILE"], b"{"),
     "compile-manifest-non-utf8": (["compile", "OK", "--manifest", "FILE"], b"\xff"),
+    "compile-manifest-bad-json": (["compile", "OK", "--manifest", "FILE"], b"{"),
     "translate-responses-non-utf8": (
         ["translate", "t", "--backend", "scripted", "--responses", "FILE"], b"\xff"
     ),
     "translate-responses-bad-json": (
         ["translate", "t", "--backend", "scripted", "--responses", "FILE"], b"x"
+    ),
+    "translate-responses-not-a-list": (
+        ["translate", "t", "--backend", "scripted", "--responses", "FILE"], b'{"a": 1}'
     ),
 }
 

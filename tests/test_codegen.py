@@ -15,6 +15,7 @@ from rsl import (
     default_manifest,
     generate,
     load_manifest,
+    load_manifest_file,
     render_statement,
 )
 from rsl.syntax import STATEMENT_SCHEMAS
@@ -244,3 +245,12 @@ def test_trusted_and_rechecked_generation_agree():
         checked = check("\n".join(render_statement(s) for s in statements)).program
         assert checked.verified
         assert generate(checked, manifest) == generate(Program(statements), manifest)
+
+
+@pytest.mark.parametrize("name, content", [("missing.json", None), ("latin1.json", b"\xff"), ("truncated.json", b"{")])
+def test_manifest_file_errors_name_the_file(tmp_path, name, content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ManifestError, match=name):
+        load_manifest_file(path)

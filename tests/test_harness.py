@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import rsl
 
 from rsl import (
     DatasetError,
@@ -277,3 +283,29 @@ def test_accuracy_wildcard_args():
         trace_state("turnright 2.2; lookup 0.4;"), expectation
     )
     assert not evaluate_accuracy(trace_state("turnright 2.2;"), expectation)
+
+
+SERIAL_EVAL_PROBE = """
+import sys
+
+import rsl
+
+config = rsl.ModelConfig(base_url="http://offline.invalid", model_name="offline")
+parts = rsl.make_prompt_parts("placeholder", zero_shot=True)
+tasks = rsl.load_default_tasks()[:3]
+report = rsl.evaluate(tasks, config, parts, rsl.default_world(), transport=rsl.OracleTransport())
+assert report.success_count == 3
+print(sorted(name for name in sys.modules if name.split(".")[0] == "concurrent"))
+"""
+
+
+def test_serial_evaluate_does_not_load_concurrent_futures():
+    # A fresh interpreter: pytest has concurrent.futures loaded already.
+    src = str(Path(rsl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", SERIAL_EVAL_PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -256,7 +256,10 @@ STATEMENT_EDGE_CASES = (
 
 def test_statement_alternatives_match_reference_scanner():
     rng = random.Random(20261018)
-    sources = [*STATEMENT_EDGE_CASES, *(random_spaced_source(rng) for _ in range(20_000))]
+    # Lexers that let a statement number end in a dot, or skip the keyword
+    # check on an object word, first differ within 170 programs on each of
+    # 30 seeds tried.
+    sources = [*STATEMENT_EDGE_CASES, *(random_spaced_source(rng) for _ in range(2_000))]
     whole = 0
     for source in sources:
         out = lex(source)

@@ -21,6 +21,7 @@ from rsl import (
     WorldError,
     check,
     load_world,
+    load_world_file,
     run,
     step,
     trace_to_jsonl,
@@ -243,6 +244,15 @@ def test_world_loading_and_validation():
         load_world('{"objects": {"cup": [0]}}')
     with pytest.raises(WorldError):
         load_world('{"objects": {}, "grasp_range": -1}')
+
+
+@pytest.mark.parametrize("name, content", [("missing.json", None), ("latin1.json", b"\xff"), ("truncated.json", b"{")])
+def test_world_file_errors_name_the_file(tmp_path, name, content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(WorldError, match=name):
+        load_world_file(path)
 
 
 def test_trace_export_is_line_delimited():
