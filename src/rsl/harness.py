@@ -324,14 +324,8 @@ def _evaluate_one(
     history = tuple(
         tuple(render(d) for d in diagnostics) for _, diagnostics in outcome.raw_history
     )
-    success = (
-        outcome.verified
-        and outcome.program is not None
-        and len(outcome.program.statements) >= 1
-    )
-    accurate = False
-    if success:
-        accurate = evaluate_accuracy(run(outcome.program, world), task.expectation)
+    success = outcome.verified and len(outcome.program.statements) >= 1
+    accurate = success and evaluate_accuracy(run(outcome.program, world), task.expectation)
     return TaskResult(task.id, task.group, success, accurate, outcome.passes, history)
 
 

@@ -68,6 +68,7 @@ class PromptParts:
     def __post_init__(self) -> None:
         if not self.system_message.strip():
             raise ValueError("system message must be non-empty")
+        object.__setattr__(self, "shots", tuple(map(tuple, self.shots)))
         for shot_task, shot_rsl in self.shots:
             try:
                 _verified_shot(shot_rsl)
@@ -99,17 +100,24 @@ class TranslationAborted(LlmError):
         self.cause = cause
 
 
+@functools.lru_cache(maxsize=16)
+def _prompt_prefix(system: str, shots: tuple[tuple[str, str], ...]) -> tuple[ChatMessage, ...]:
+    """The system and shot messages. Only built prefixes are cached, so a bad
+    shot message raises every time."""
+    prefix = [ChatMessage("system", system)]
+    for shot_task, shot_rsl in shots:
+        prefix += (ChatMessage("user", shot_task), ChatMessage("assistant", shot_rsl))
+    return tuple(prefix)
+
+
 def build_prompt(parts: PromptParts) -> list[ChatMessage]:
     """One system message, then one user/assistant pair per shot, then the
-    task as the final user message."""
+    task as the final user message. The system and shot messages are built
+    once per template and shared across tasks; each call returns a new list."""
     if not parts.task.strip():
         raise ValueError("task must be non-empty")
-    messages = [ChatMessage("system", parts.system_message)]
-    for shot_task, shot_rsl in parts.shots:
-        messages.append(ChatMessage("user", shot_task))
-        messages.append(ChatMessage("assistant", shot_rsl))
-    messages.append(ChatMessage("user", parts.task))
-    return messages
+    prefix = _prompt_prefix(parts.system_message, parts.shots)
+    return [*prefix, ChatMessage("user", parts.task)]
 
 
 def extract_rsl(assistant_text: str) -> str:

@@ -309,3 +309,23 @@ def test_serial_evaluate_does_not_load_concurrent_futures():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_parallel_feedback_turns_stay_per_task():
+    # Every task needs one feedback pass, so each one extends a prompt that
+    # starts with the 12-shot template's shared messages. The prefix cache
+    # starts empty and threads switch often, so workers race to build it.
+    tasks = load_default_tasks()
+    world = default_world()
+    serial = evaluate(tasks, CONFIG, template(zero_shot=False), world,
+                      max_passes=2, transport=FailFirstTransport())
+    rsl.orchestrator._prompt_prefix.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = evaluate(tasks, CONFIG, template(zero_shot=False), world,
+                            max_passes=2, transport=FailFirstTransport(), parallelism=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial.success_count == 25 and serial.mean_pass == 2.0
+    assert report_to_json(parallel) == report_to_json(serial)

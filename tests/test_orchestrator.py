@@ -7,6 +7,7 @@ import pytest
 import rsl.orchestrator as orchestrator_mod
 from rsl import (
     Category,
+    ChatMessage,
     ModelConfig,
     PromptParts,
     ScriptedTransport,
@@ -294,3 +295,101 @@ def test_build_prompt_sends_shipped_data_verbatim():
     template = make_prompt_parts("placeholder")
     messages = build_prompt(replace(template, task="Approach the table."))
     assert [(m.role, m.content) for m in messages] == expected
+
+
+def test_per_task_prompts_share_the_template_prefix():
+    template = make_prompt_parts("t")
+    first = build_prompt(replace(template, task="Approach the door."))
+    second = build_prompt(replace(template, task="Approach the table."))
+    assert first is not second
+    assert len(first) == len(second) == 26
+    assert all(a is b for a, b in zip(first[:25], second[:25]))
+    assert [first[-1].content, second[-1].content] == [
+        "Approach the door.",
+        "Approach the table.",
+    ]
+
+
+def test_extending_a_prompt_leaves_the_next_one_unchanged():
+    per_task = replace(make_prompt_parts("t"), task="Approach the door.")
+    prompt = build_prompt(per_task)
+    expected = list(prompt)
+    prompt.append(ChatMessage("assistant", "forward 1;"))
+    prompt.append(ChatMessage("user", "feedback"))
+    assert build_prompt(per_task) == expected
+
+
+def test_per_task_prompt_builds_only_the_task_message(monkeypatch):
+    template = make_prompt_parts("t")
+    build_prompt(template)
+    built = []
+    original = orchestrator_mod.ChatMessage
+
+    def counting(role, content):
+        built.append((role, content))
+        return original(role, content)
+
+    monkeypatch.setattr(orchestrator_mod, "ChatMessage", counting)
+    messages = build_prompt(replace(template, task="Approach the door."))
+    assert built == [("user", "Approach the door.")]
+    assert len(messages) == 26
+
+
+def test_each_template_gets_its_own_prefix():
+    shot = ("Grasp the cup.", "grasp cup;")
+    base = build_prompt(PromptParts(SYSTEM, (shot,), "t"))
+    other_system = build_prompt(PromptParts("Another system message.", (shot,), "t"))
+    other_shots = build_prompt(PromptParts(SYSTEM, (("Perceive.", "perceive;"),), "t"))
+    assert [(m.role, m.content) for m in other_system[:3]] == [
+        ("system", "Another system message."),
+        ("user", "Grasp the cup."),
+        ("assistant", "grasp cup;"),
+    ]
+    assert [(m.role, m.content) for m in other_shots[:3]] == [
+        ("system", SYSTEM),
+        ("user", "Perceive."),
+        ("assistant", "perceive;"),
+    ]
+    assert [(m.role, m.content) for m in base[:3]] == [
+        ("system", SYSTEM),
+        ("user", "Grasp the cup."),
+        ("assistant", "grasp cup;"),
+    ]
+    zero = build_prompt(parts("Approach the door."))
+    assert [(m.role, m.content) for m in zero] == [
+        ("system", SYSTEM),
+        ("user", "Approach the door."),
+    ]
+
+
+def test_list_shots_give_the_tuple_prompt():
+    listed = PromptParts(SYSTEM, [["Grasp the cup.", "grasp cup;"]], "t")
+    tupled = PromptParts(SYSTEM, (("Grasp the cup.", "grasp cup;"),), "t")
+    assert listed.shots == tupled.shots
+    assert build_prompt(listed) == build_prompt(tupled)
+    assert len(build_prompt(listed)) == 4
+
+
+def test_shot_with_empty_task_raises_on_every_call():
+    bad = PromptParts(SYSTEM, (("", "grasp cup;"),), "t")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="user message content must be non-empty"):
+            build_prompt(bad)
+
+
+def test_consecutive_tasks_keep_their_turns_apart():
+    template = make_prompt_parts("t")
+    transport = ScriptedTransport(["approach table", "approach table;", "forward 1;"])
+    first = translate(
+        replace(template, task="Approach the table."), CONFIG, 5, transport=transport
+    )
+    second = translate(
+        replace(template, task="Move forward."), CONFIG, 5, transport=transport
+    )
+    assert first.passes == 2 and second.passes == 1
+    first_turns = {m.content for m in first.transcript[25:]}
+    second_request = transport.requests[2]
+    assert len(second_request) == 26
+    assert not first_turns & {m["content"] for m in second_request}
+    assert second_request[-1] == {"role": "user", "content": "Move forward."}
+    assert all(a is b for a, b in zip(first.transcript[:25], second.transcript[:25]))
