@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from keyword import iskeyword
 
 from .diagnostics import render
 from .parser import check
@@ -59,7 +60,7 @@ def load_manifest(text: str) -> SkillManifest:
     that do not match the fixed statement forms, and any missing keyword
     (naming the absentees). Module and function names go into the generated
     source verbatim, so a function must be an identifier and a module
-    dot-separated identifiers.
+    dot-separated identifiers, none of them a Python keyword.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
@@ -89,11 +90,11 @@ def load_manifest(text: str) -> SkillManifest:
             raise ManifestError(f"binding for {keyword!r} needs a module name")
         if not isinstance(function, str) or not function:
             raise ManifestError(f"binding for {keyword!r} needs a function name")
-        if not all(IDENTIFIER_RE.match(part) for part in module.split(".")):
+        if not all(IDENTIFIER_RE.match(p) and not iskeyword(p) for p in module.split(".")):
             raise ManifestError(
                 f"binding for {keyword!r} has an invalid module name {module!r}"
             )
-        if not IDENTIFIER_RE.match(function):
+        if not IDENTIFIER_RE.match(function) or iskeyword(function):
             raise ManifestError(
                 f"binding for {keyword!r} has an invalid function name {function!r}"
             )
@@ -129,10 +130,13 @@ def default_manifest() -> SkillManifest:
 def _call_line(statement, binding: SkillBinding) -> str:
     rendered_args = []
     for arg in statement.args:
-        if isinstance(arg, Number):
-            rendered_args.append(arg.raw)
-        else:
+        if not isinstance(arg, Number):
             rendered_args.append(json.dumps(arg))
+        elif "." not in arg.raw and arg.raw[0] in "-0" and arg.raw.strip("-0"):
+            # Python rejects leading zeros on a nonzero integer: 007 -> 7, -02 -> -2.
+            rendered_args.append(("-" if arg.raw[0] == "-" else "") + arg.raw.lstrip("-0"))
+        else:
+            rendered_args.append(arg.raw)
     return f"{binding.function_name}({', '.join(rendered_args)})"
 
 

@@ -8,9 +8,8 @@ violations found during semantic validation reuse the Parameter category.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .syntax import SourceSpan
 
@@ -64,21 +63,16 @@ def message_for(category: Category, token_text: str) -> str:
     return _MESSAGES[category._value_]
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    """One error: category, location, the offending lexeme, and the canonical
-    sentence. The message is derived from the category when not given."""
+class Diagnostic(NamedTuple):
+    """One error: category, location and offending lexeme; message is derived."""
 
     category: Category
     span: SourceSpan
     token_text: str
-    message: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.message:
-            object.__setattr__(
-                self, "message", message_for(self.category, self.token_text)
-            )
+    @property
+    def message(self) -> str:
+        return message_for(self.category, self.token_text)
 
 
 def source_order(d: Diagnostic) -> tuple[int, int]:

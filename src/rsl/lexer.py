@@ -154,21 +154,21 @@ def lex(source: str) -> LexOutcome:
                 if len(prefix) == len(text) and _isfinite(value):
                     tokens.append(_new(Token, (_NUMBER, text, span, None, value)))
                 elif _LETTER_RE.search(text):
-                    diagnostics.append(Diagnostic(_BAD_IDENTIFIER, span, text))
+                    diagnostics.append(_new(Diagnostic, (_BAD_IDENTIFIER, span, text)))
                     tokens.append(_new(Token, (_IDENTIFIER, text, span, None, None)))
                 else:
                     # The recovered value is the prefix's, or the largest finite
                     # float of its sign when the prefix is too large for one.
-                    diagnostics.append(Diagnostic(_BAD_NUMBER, span, text))
+                    diagnostics.append(_new(Diagnostic, (_BAD_NUMBER, span, text)))
                     value = max(-_FLOAT_MAX, min(value, _FLOAT_MAX))
                     tokens.append(_new(Token, (_NUMBER, text, span, None, value)))
             elif kind is _IDENTIFIER and (keyword := text.lower()) in KEYWORDS:
                 if keyword != text:
-                    diagnostics.append(Diagnostic(_BAD_KEYWORD, span, text))
+                    diagnostics.append(_new(Diagnostic, (_BAD_KEYWORD, span, text)))
                 tokens.append(_new(Token, (_KEYWORD, text, span, keyword, None)))
             elif kind is _BAD_CHARACTER or kind is _BAD_COMMENT:
                 # The rest of the input an unclosed block swallows is a gap.
-                diagnostics.append(Diagnostic(kind, span, text))
+                diagnostics.append(_new(Diagnostic, (kind, span, text)))
             else:  # a statement's keyword, an identifier, a comma or a semicolon
                 keyword = text if kind is _KEYWORD else None
                 tokens.append(_new(Token, (kind, text, span, keyword, None)))

@@ -132,10 +132,10 @@ def _diag_at(
     """A diagnostic at tok. A missing semicolon, or one found at END where
     there is nothing to point at, names the statement parsed so far."""
     if tok.kind is not _END and category is not _BAD_SEMICOLON:
-        return Diagnostic(category, tok.span, tok.text)
+        return _new(Diagnostic, (category, tok.span, tok.text))
     consumed = stream._tokens[first : stream.pos]
     span = _statement_span(consumed[0], consumed[-1])
-    return Diagnostic(category, span, _statement_text(consumed, source, lines))
+    return _new(Diagnostic, (category, span, _statement_text(consumed, source, lines)))
 
 
 def _statement_diagnostic(
@@ -174,7 +174,7 @@ def parse(tokens, source: str = "") -> ParseOutcome:
     diagnostics: list[Diagnostic] = []
     while (tok := tokens[first := stream._pos]).kind is not _END:
         if tok.kind is not _KEYWORD:
-            diagnostics.append(Diagnostic(_BAD_COMMAND, tok.span, tok.text))
+            diagnostics.append(_new(Diagnostic, (_BAD_COMMAND, tok.span, tok.text)))
             _recover(stream)
             continue
         # Match, else diagnose: a statement whose tokens are all of the
@@ -203,7 +203,7 @@ def validate(program: Program) -> list[Diagnostic]:
             magnitude = s.args[0]
             assert isinstance(magnitude, Number)
             if not magnitude.value > 0:
-                out.append(Diagnostic(_BAD_PARAMETER, s.span, magnitude.raw))
+                out.append(_new(Diagnostic, (_BAD_PARAMETER, s.span, magnitude.raw)))
     return out
 
 

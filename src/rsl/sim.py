@@ -5,7 +5,8 @@ camera. Execution is pure: each step maps (state, statement) to a new state,
 and every executed statement appends a trace record, so a state carries its
 own execution history. run gives the same result as folding step over the
 program but builds the trace once and one state at the end, so its cost is
-linear in the program's length. Trace records and states are slotted frozen
+linear in the program's length. Trace records are named tuples, built with
+tuple.__new__ as the lexer builds tokens, and states are slotted frozen
 dataclasses. Programs are taken as verified: run does not check them again,
 but a hand-built one whose numbers are not finite is a SimError. No
 physics, collision, or sensing is modeled; perceive sets a flag.
@@ -25,6 +26,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .syntax import IDENTIFIER_RE, Number, Program, Statement, render_statement
 
@@ -32,6 +34,7 @@ from .syntax import IDENTIFIER_RE, Number, Program, Statement, render_statement
 # from the object, which must still count as within an equal grasp_range
 # despite float rounding.
 _GRASP_EPSILON = 1e-9
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,7 @@ def default_world() -> World:
     return load_world(text)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One executed statement and the pose/flags right after it."""
 
     statement: Statement
@@ -227,7 +229,7 @@ def _execute(state: RobotState | TraceRecord, world: World, statement: Statement
 
     if not finite:
         raise SimError(f"'{kw}' would leave the pose non-finite", statement, state)
-    return TraceRecord(statement, x, y, heading, cam_pan, cam_tilt, held, perceived)
+    return _new(TraceRecord, (statement, x, y, heading, cam_pan, cam_tilt, held, perceived))
 
 
 def _state_after(pose: RobotState | TraceRecord, trace: tuple[TraceRecord, ...]) -> RobotState:
@@ -290,30 +292,27 @@ def trace_to_jsonl(state: RobotState) -> str:
     object, so a number's text is made again only when the object differs
     from the previous record's."""
     lines = []
-    x = y = heading = cam_pan = cam_tilt = held = _UNSET
-    for record in state.trace:
-        if record.x is not x:
-            x = record.x
-            x_text = _number_text(x, "x")
-        if record.y is not y:
-            y = record.y
-            y_text = _number_text(y, "y")
-        if record.heading is not heading:
-            heading = record.heading
-            heading_text = _number_text(heading, "heading")
-        if record.cam_pan is not cam_pan:
-            cam_pan = record.cam_pan
-            cam_pan_text = _number_text(cam_pan, "cam_pan")
-        if record.cam_tilt is not cam_tilt:
-            cam_tilt = record.cam_tilt
-            cam_tilt_text = _number_text(cam_tilt, "cam_tilt")
-        if record.held is not held:
-            held = record.held
+    last_x = last_y = last_heading = last_pan = last_tilt = last_held = _UNSET
+    # Unpacked, not read by attribute: Python 3.11 specialises attribute loads
+    # on __slots__ but not on a named tuple's fields.
+    for statement, x, y, heading, cam_pan, cam_tilt, held, perceived in state.trace:
+        if x is not last_x:
+            last_x, x_text = x, _number_text(x, "x")
+        if y is not last_y:
+            last_y, y_text = y, _number_text(y, "y")
+        if heading is not last_heading:
+            last_heading, heading_text = heading, _number_text(heading, "heading")
+        if cam_pan is not last_pan:
+            last_pan, cam_pan_text = cam_pan, _number_text(cam_pan, "cam_pan")
+        if cam_tilt is not last_tilt:
+            last_tilt, cam_tilt_text = cam_tilt, _number_text(cam_tilt, "cam_tilt")
+        if held is not last_held:
+            last_held = held
             held_text = "null" if held is None else encode_basestring_ascii(held)
         lines.append(_TRACE_LINE % (
             cam_pan_text, cam_tilt_text, heading_text, held_text,
-            "true" if record.perceived else "false",
-            encode_basestring_ascii(render_statement(record.statement)),
+            "true" if perceived else "false",
+            encode_basestring_ascii(render_statement(statement)),
             x_text, y_text,
         ))
     return "\n".join(lines) + ("\n" if lines else "")

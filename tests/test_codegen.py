@@ -1,8 +1,14 @@
 import json
+import keyword
 import random
+import sys
+import types
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rsl.codegen as codegen_mod
 from rsl import (
@@ -10,13 +16,18 @@ from rsl import (
     ManifestError,
     Number,
     Program,
+    RobotState,
+    SimError,
     Statement,
+    World,
     check,
     default_manifest,
     generate,
     load_manifest,
     load_manifest_file,
     render_statement,
+    run,
+    step,
 )
 from rsl.syntax import STATEMENT_SCHEMAS
 
@@ -80,6 +91,8 @@ def test_unknown_keyword_rejected():
         ("function", "forward(); import os  #"),
         ("function", "robot.forward"),
         ("function", "9lives"),
+        ("function", "lambda"),
+        ("module", "robot.class"),
     ],
 )
 def test_binding_names_must_be_identifiers(field, name):
@@ -134,6 +147,24 @@ def test_generate_goto_keeps_argument_order():
 def test_generate_renders_numbers_from_raw_text():
     program = check("forward 1.50;").program
     assert "forward(1.50)" in generate(program, default_manifest())
+
+
+@pytest.mark.parametrize(
+    "source, call",
+    [
+        ("forward 007;", "forward(7)"),
+        ("goto 01, -02;", "goto(1, -2)"),
+        ("goto 0010, -00100;", "goto(10, -100)"),
+        ("goto 000, -00;", "goto(000, -00)"),
+        ("goto 00.5, -0;", "goto(00.5, -0)"),
+        ("goto -007.50, 0;", "goto(-007.50, 0)"),
+        ("forward 1.50;", "forward(1.50)"),
+    ],
+)
+def test_generated_numbers_are_python_literals(source, call):
+    emitted = generate(check(source).program, default_manifest())
+    assert emitted.endswith(f"\n{call}\n")
+    compile(emitted, "<generated>", "exec")
 
 
 def test_generate_empty_program_emits_preamble_only():
@@ -254,3 +285,101 @@ def test_manifest_file_errors_name_the_file(tmp_path, name, content):
         path.write_bytes(content)
     with pytest.raises(ManifestError, match=name):
         load_manifest_file(path)
+
+
+# Object names that are Python keywords or builtins must reach the robot as
+# strings; "ghost" is not in the world, so approaching it fails.
+EXEC_WORLD = World({"cup": (1.0, 0.5), "None": (2.0, -1.0), "class": (0.2, 0.2), "print": (-1.0, 3.0)})
+OBJECT_NAMES = st.sampled_from([*EXEC_WORLD.objects, "ghost"])
+# Leading zeros, all-zero integers and long fractions.
+NUMERALS = st.builds(
+    str.__add__,
+    st.from_regex(r"0{0,3}[1-9][0-9]{0,3}|0{1,3}", fullmatch=True),
+    st.one_of(st.just(""), st.from_regex(r"\.[0-9]{1,30}", fullmatch=True)),
+)
+
+
+@st.composite
+def verified_sources(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kw = draw(st.sampled_from(sorted(STATEMENT_SCHEMAS)))
+        args = []
+        for kind in STATEMENT_SCHEMAS[kw]:
+            if kind == "object":
+                args.append(draw(OBJECT_NAMES))
+            elif kw == "goto":
+                args.append(draw(st.sampled_from(["", "-"])) + draw(NUMERALS))
+            else:
+                args.append(draw(NUMERALS.filter(lambda n: float(n) > 0)))
+        lines.append(f"{kw} {', '.join(args)};" if args else f"{kw};")
+    return "\n".join(lines)
+
+
+def robot_stub(world):
+    """A robot_interface module whose twelve functions fold step over one state."""
+    module = types.ModuleType("robot_interface")
+    module.state = RobotState()
+
+    def bind(kw, schema):
+        def call(*args):
+            parsed = []
+            for arg, kind in zip(args, schema, strict=True):
+                assert type(arg) in ((int, float) if kind == "number" else (str,))
+                parsed.append(Number(float(arg), repr(arg)) if kind == "number" else arg)
+            module.state = step(module.state, world, Statement(kw, tuple(parsed)))
+        return call
+
+    for kw, schema in STATEMENT_SCHEMAS.items():
+        setattr(module, kw, bind(kw, schema))
+    return module
+
+
+def pose(state):
+    return (state.x, state.y, state.heading, state.cam_pan, state.cam_tilt, state.held, state.perceived)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(verified_sources())
+@example("forward 007;\ngoto 01, -02;\ngoto -0, -00;\napproach None;\ngrasp None;\ngrasp class;")
+@example("turnleft 1.000000000000000000000000001;\napproach class;\ngrasp class;\nlookup 0010.5;")
+@example("approach ghost;")
+def test_generated_code_does_what_the_simulator_does(source):
+    checked = check(source)
+    assert not checked.diagnostics, source
+    code = compile(generate(checked.program, default_manifest()), "<generated>", "exec")
+    expected = run(checked.program, EXEC_WORLD)
+    stub = robot_stub(EXEC_WORLD)
+    with mock.patch.dict(sys.modules, {"robot_interface": stub}):
+        if isinstance(expected, SimError):
+            with pytest.raises(SimError) as raised:
+                exec(code, {})
+            assert type(raised.value) is type(expected)
+            expected = expected.state
+        else:
+            exec(code, {})
+    assert pose(stub.state) == pose(expected)
+    assert [r.statement.keyword for r in stub.state.trace] == [
+        r.statement.keyword for r in expected.trace
+    ]
+
+
+NAMES = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True),
+    st.sampled_from([*keyword.softkwlist, "None_", "classy", "print"]),
+).filter(lambda name: not keyword.iskeyword(name))
+
+
+@st.composite
+def valid_manifests(draw):
+    doc = manifest_doc()
+    for binding in doc["bindings"].values():
+        binding["module"] = ".".join(draw(st.lists(NAMES, min_size=1, max_size=3)))
+        binding["function"] = draw(NAMES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(valid_manifests(), verified_sources())
+def test_generated_code_compiles_for_random_valid_manifests(manifest, source):
+    compile(generate(check(source).program, load_manifest(manifest)), "<generated>", "exec")

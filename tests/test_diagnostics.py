@@ -25,6 +25,14 @@ def test_golden_message_per_category(category):
     assert message_for(category, token) == GOLDEN_MESSAGES[category]
 
 
+@pytest.mark.parametrize("category", list(Category))
+def test_diagnostic_message_is_derived_and_not_an_argument(category):
+    for token in ("$", "tok"):
+        assert Diagnostic(category, SPAN, token).message == message_for(category, token)
+    with pytest.raises(TypeError):
+        Diagnostic(category, SPAN, "tok", "a stored message")  # type: ignore[call-arg]
+
+
 def test_character_message_substitutes_the_character():
     assert message_for(Category.CHARACTER, "$") == "The $ is an illegal character."
     assert message_for(Category.CHARACTER, "#") == "The # is an illegal character."

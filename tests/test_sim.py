@@ -150,6 +150,23 @@ def test_trace_length_equals_statement_count():
     assert len(result.trace) == 4
 
 
+def test_trace_record_from_run_equals_one_built_by_hand():
+    checked = program("goto 1, 2; lookup 3; lookleft 4; approach box; grasp box; perceive;")
+    last = run(checked, WORLD).trace[-1]
+    # approach box from (1, 2) parks 0.5 north of (1, 0.5), facing south.
+    x, y, heading = 1.0, 1.0, -math.pi / 2
+    perceive = checked.statements[-1]
+    assert type(last) is TraceRecord
+    assert last == TraceRecord(perceive, x, y, heading, 4.0, 3.0, "box", True)
+    assert last == TraceRecord(
+        statement=perceive, x=x, y=y, heading=heading,
+        cam_pan=4.0, cam_tilt=3.0, held="box", perceived=True,
+    )
+    assert run(checked, WORLD).trace[0] == TraceRecord(
+        checked.statements[0], 1.0, 2.0, 0.0, 0.0, 0.0, None, False
+    )
+
+
 def test_heading_wrap_convention():
     assert wrap_heading(math.pi) == pytest.approx(math.pi)
     assert wrap_heading(-math.pi) == pytest.approx(math.pi)

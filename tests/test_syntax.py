@@ -136,3 +136,15 @@ def test_value_types_have_no_instance_dict_and_stay_immutable(instance):
     for name in names:
         with pytest.raises(AttributeError):
             setattr(instance, name, None)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [v for v in value_type_instances() if type(v).__name__ in
+     ("SourceSpan", "Token", "Number", "Diagnostic", "TraceRecord")],
+    ids=lambda v: type(v).__name__,
+)
+def test_named_tuple_value_types_refuse_names_that_are_not_fields(instance):
+    for name in ("not_a_field", "message"):
+        with pytest.raises(AttributeError):
+            setattr(instance, name, None)
