@@ -7,6 +7,8 @@ oracle, and an LLM translation loop that repairs generated programs from
 compiler feedback until they verify.
 """
 
+from types import ModuleType as _ModuleType
+
 from .codegen import (
     GenerationError,
     ManifestError,
@@ -91,80 +93,8 @@ from .syntax import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuthError",
-    "Category",
-    "ChatMessage",
-    "DatasetError",
-    "Diagnostic",
-    "EvalReport",
-    "FailFirstTransport",
-    "GenerationError",
-    "GraspOutOfRange",
-    "HandFull",
-    "HttpTransport",
-    "KEYWORDS",
-    "LexOutcome",
-    "LlmError",
-    "LoopOutcome",
-    "ManifestError",
-    "ModelConfig",
-    "Number",
-    "OracleTransport",
-    "ParseOutcome",
-    "Program",
-    "PromptParts",
-    "ProtocolError",
-    "RequestRejected",
-    "RobotState",
-    "STATEMENT_SCHEMAS",
-    "ScriptedTransport",
-    "SimError",
-    "SkillBinding",
-    "SkillManifest",
-    "SourceSpan",
-    "Statement",
-    "TaskExpectation",
-    "TaskRecord",
-    "TaskResult",
-    "Token",
-    "TokenKind",
-    "TraceRecord",
-    "TranslationAborted",
-    "TransportError",
-    "UnknownObject",
-    "World",
-    "WorldError",
-    "build_prompt",
-    "check",
-    "complete",
-    "compose_feedback",
-    "config_from_env",
-    "default_manifest",
-    "default_shots",
-    "default_system_message",
-    "default_world",
-    "evaluate",
-    "evaluate_accuracy",
-    "extract_rsl",
-    "generate",
-    "lex",
-    "load_default_tasks",
-    "load_manifest",
-    "load_manifest_file",
-    "load_tasks",
-    "load_world",
-    "load_world_file",
-    "make_prompt_parts",
-    "parse",
-    "render_diagnostic",
-    "render_program",
-    "render_statement",
-    "report_to_csv",
-    "report_to_json",
-    "run",
-    "step",
-    "trace_to_jsonl",
-    "translate",
-    "validate",
-]
+# The public API is every name imported above; the submodules are not part of it.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -28,6 +28,7 @@ from .syntax import (
     Statement,
     Token,
     TokenKind,
+    acyclic,
     trusted_statement,
 )
 
@@ -207,6 +208,7 @@ def validate(program: Program) -> list[Diagnostic]:
     return out
 
 
+@acyclic
 def check(source: str) -> ParseOutcome:
     """The single verification entry point: lex, parse, and validate, with
     all diagnostics merged in source order. Zero diagnostics means the

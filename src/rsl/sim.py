@@ -8,8 +8,11 @@ program but builds the trace once and one state at the end, so its cost is
 linear in the program's length. Trace records are named tuples, built with
 tuple.__new__ as the lexer builds tokens, and states are slotted frozen
 dataclasses. Programs are taken as verified: run does not check them again,
-but a hand-built one whose numbers are not finite is a SimError. No
-physics, collision, or sensing is modeled; perceive sets a flag.
+but a hand-built one whose numbers are not finite is a SimError. run
+pauses the cyclic garbage collector (syntax.acyclic), since what it builds
+holds no reference cycle: the SimError it returns carries no traceback, and
+UnknownObject no KeyError context. No physics, collision, or sensing is
+modeled; perceive sets a flag.
 
 trace_to_jsonl's format is byte-exact: one line per record, each the bytes
 of json.dumps(record, sort_keys=True, allow_nan=False), so the keys come in
@@ -28,7 +31,7 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .syntax import IDENTIFIER_RE, Number, Program, Statement, render_statement
+from .syntax import IDENTIFIER_RE, Number, Program, Statement, acyclic, render_statement
 
 # Slack for boundary grasps: an approach parks the robot exactly reach_offset
 # from the object, which must still count as within an equal grasp_range
@@ -160,10 +163,10 @@ def _object_position(
 ) -> tuple[float, float]:
     name = statement.args[0]
     assert isinstance(name, str)
-    try:
-        return world.objects[name]
-    except KeyError:
-        raise UnknownObject(f"unknown object '{name}'", statement, state) from None
+    position = world.objects.get(name)
+    if position is None:
+        raise UnknownObject(f"unknown object '{name}'", statement, state)
+    return position
 
 
 def _execute(state: RobotState | TraceRecord, world: World, statement: Statement) -> TraceRecord:
@@ -247,9 +250,12 @@ def step(state: RobotState, world: World, statement: Statement) -> RobotState:
     return _state_after(record, state.trace + (record,))
 
 
+@acyclic
 def run(program: Program, world: World, initial: RobotState | None = None) -> RobotState | SimError:
     """Fold step over the program. On failure, returns the SimError (it holds
-    the trace up to the failing statement) instead of raising.
+    the trace up to the failing statement) instead of raising. The error
+    comes without its traceback, which would hold this call's frame, so a
+    caller that keeps it in a local forms no reference cycle.
 
     The records are collected in a list and each one is the pose the next
     statement starts from, so the trace tuple and the returned state are
@@ -261,7 +267,7 @@ def run(program: Program, world: World, initial: RobotState | None = None) -> Ro
             record = _execute(pose, world, statement)
         except SimError as err:
             err.state = _state_after(pose, tuple(records))
-            return err
+            return err.with_traceback(None)
         records.append(record)
         pose = record
     return _state_after(pose, tuple(records))

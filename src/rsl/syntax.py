@@ -12,6 +12,8 @@ are slotted frozen dataclasses. None of them has a per-instance __dict__.
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -157,6 +159,25 @@ class Program:
     statements: tuple[Statement, ...] = ()
     source: str = field(compare=False, default="")
     verified: bool = field(default=False, init=False, compare=False, repr=False)
+
+
+def acyclic(function):
+    """Run function with the cyclic garbage collector paused, for calls whose
+    values form no reference cycle, so reference counting frees them all. The
+    pause ends in this wrapper, after the call's frame and locals are gone.
+    A caller that has paused the collector already keeps it paused."""
+
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return function(*args, **kwargs)
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def render_statement(s: Statement) -> str:

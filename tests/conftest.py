@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 import rsl.llm as llm_mod
@@ -8,3 +10,14 @@ def fast_backoff(monkeypatch):
     """Retry backoff must not consume wall-clock time in tests. Tests that
     assert the backoff schedule install their own recorder on top."""
     monkeypatch.setattr(llm_mod, "_sleep", lambda _: None)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """check and run pause the cyclic garbage collector only for their own
+    call, so no test may end with it off. It is turned back on before the
+    test fails, so one such test does not change the ones after it."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")

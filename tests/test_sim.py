@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -20,8 +21,12 @@ from rsl import (
     World,
     WorldError,
     check,
+    compose_feedback,
+    default_manifest,
+    generate,
     load_world,
     load_world_file,
+    render_program,
     run,
     step,
     trace_to_jsonl,
@@ -32,8 +37,10 @@ from rsl.syntax import STATEMENT_SCHEMAS
 from support import (
     headings_close,
     oracle_execute,
+    random_program,
     random_statement,
     reference_trace_to_jsonl,
+    single_char_mutant,
     statement_as_tuple,
 )
 
@@ -502,3 +509,59 @@ def test_trace_export_rejects_a_non_finite_field(field, value, position):
         reference_trace_to_jsonl(RobotState(trace=trace))
     with pytest.raises(ValueError):
         trace_to_jsonl(RobotState(trace=trace))
+
+
+# Endings that make run return each SimError subclass in WORLD.
+SIM_ERROR_ENDINGS = {
+    UnknownObject: "grasp ghost;",
+    HandFull: "approach box; grasp box; approach bin; grasp bin;",
+    GraspOutOfRange: "goto 9, 9; grasp crate;",
+}
+
+
+@st.composite
+def pipeline_sources(draw):
+    """Clean programs, programs that end in each SimError, and broken ones."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    source = render_program(random_program(rng))
+    ending = draw(st.sampled_from(["", *SIM_ERROR_ENDINGS.values()]))
+    source = f"{source}\n{ending}" if source else ending
+    return single_char_mutant(rng, source) if draw(st.booleans()) else source
+
+
+def _pipeline(source):
+    """What the benchmark and the repair loop do with one source, each
+    result kept in a local, as callers keep them."""
+    outcome = check(source)
+    if outcome.diagnostics:
+        return compose_feedback(outcome.diagnostics, source)
+    control = generate(outcome.program, default_manifest())
+    result = run(outcome.program, WORLD)
+    state = result.state if isinstance(result, SimError) else result
+    return control, trace_to_jsonl(state)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pipeline_sources())
+@example("approach box; grasp box;")
+@example(SIM_ERROR_ENDINGS[UnknownObject])
+@example(SIM_ERROR_ENDINGS[HandFull])
+@example(SIM_ERROR_ENDINGS[GraspOutOfRange])
+@example("grasp ghost")
+def test_check_and_run_build_no_reference_cycle(source):
+    # check and run pause the cyclic collector; that is safe only while
+    # reference counting alone frees everything they and their callers build.
+    gc.collect()
+    gc.disable()
+    try:
+        _pipeline(source)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("error", list(SIM_ERROR_ENDINGS), ids=lambda e: e.__name__)
+def test_returned_sim_error_has_no_traceback_or_context(error):
+    result = run(program(SIM_ERROR_ENDINGS[error]), WORLD)
+    assert type(result) is error
+    assert result.__traceback__ is None and result.__context__ is None

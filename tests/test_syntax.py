@@ -1,12 +1,20 @@
 import dataclasses
+import gc
+import inspect
 import random
+import types
 
 import pytest
 
+import rsl
+import rsl.parser
+import rsl.sim
 from rsl import (
     Category,
     Diagnostic,
+    ModelConfig,
     Number,
+    OracleTransport,
     Program,
     RobotState,
     SourceSpan,
@@ -15,8 +23,13 @@ from rsl import (
     TokenKind,
     TraceRecord,
     check,
+    default_world,
+    evaluate,
+    load_default_tasks,
+    make_prompt_parts,
     render_program,
     render_statement,
+    run,
 )
 from rsl.syntax import POSITIVE_MAGNITUDE_KEYWORDS, STATEMENT_SCHEMAS
 
@@ -148,3 +161,72 @@ def test_named_tuple_value_types_refuse_names_that_are_not_fields(instance):
     for name in ("not_a_field", "message"):
         with pytest.raises(AttributeError):
             setattr(instance, name, None)
+
+
+def test_package_exports_every_public_name_but_no_module():
+    public = {name for name in vars(rsl) if not name.startswith("_")}
+    modules = {name for name in public if isinstance(getattr(rsl, name), types.ModuleType)}
+    assert {"lexer", "parser", "sim"} <= modules
+    assert rsl.__all__ == sorted(public - modules)
+    assert {"check", "run", "Diagnostic", "STATEMENT_SCHEMAS"} <= set(rsl.__all__)
+    namespace = {}
+    exec("from rsl import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(rsl.__all__)
+    assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
+
+
+def _record_collector_state(monkeypatch, module, name):
+    seen = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def test_check_and_run_pause_the_collector_only_for_their_call(monkeypatch):
+    lexed = _record_collector_state(monkeypatch, rsl.parser, "lex")
+    executed = _record_collector_state(monkeypatch, rsl.sim, "_execute")
+    outcome = check("forward 1; perceive;")
+    assert gc.isenabled()
+    assert isinstance(run(outcome.program, default_world()), RobotState)
+    assert gc.isenabled()
+    assert lexed == [False] and executed == [False, False]
+
+
+def test_collector_resumes_when_run_raises():
+    with pytest.raises(AttributeError):
+        run(None, default_world())
+    assert gc.isenabled()
+
+
+def test_a_caller_that_paused_the_collector_keeps_it_paused():
+    gc.disable()
+    try:
+        run(check("forward 1; grasp ghost;").program, default_world())
+        with pytest.raises(AttributeError):
+            run(None, default_world())
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_paused_functions_keep_their_names_and_signatures():
+    assert (check.__name__, run.__name__) == ("check", "run")
+    assert list(inspect.signature(check).parameters) == ["source"]
+    assert list(inspect.signature(run).parameters) == ["program", "world", "initial"]
+
+
+def test_parallel_evaluate_leaves_the_collector_enabled():
+    # The pause is not per thread: the guarantee is that a collector enabled
+    # before the calls is enabled after all of them.
+    evaluate(
+        load_default_tasks(), ModelConfig(base_url="http://offline.invalid", model_name="x"),
+        make_prompt_parts("placeholder"), default_world(),
+        transport=OracleTransport(), parallelism=4,
+    )
+    assert gc.isenabled()
