@@ -10,9 +10,9 @@ tuple.__new__ as the lexer builds tokens, and states are slotted frozen
 dataclasses. Programs are taken as verified: run does not check them again,
 but a hand-built one whose numbers are not finite is a SimError. run
 pauses the cyclic garbage collector (syntax.acyclic), since what it builds
-holds no reference cycle: the SimError it returns carries no traceback, and
-UnknownObject no KeyError context. No physics, collision, or sensing is
-modeled; perceive sets a flag.
+holds no reference cycle: the SimError it returns carries no traceback and
+no exception context. No physics, collision, or sensing is modeled;
+perceive sets a flag.
 
 trace_to_jsonl's format is byte-exact: one line per record, each the bytes
 of json.dumps(record, sort_keys=True, allow_nan=False), so the keys come in
@@ -254,8 +254,9 @@ def step(state: RobotState, world: World, statement: Statement) -> RobotState:
 def run(program: Program, world: World, initial: RobotState | None = None) -> RobotState | SimError:
     """Fold step over the program. On failure, returns the SimError (it holds
     the trace up to the failing statement) instead of raising. The error
-    comes without its traceback, which would hold this call's frame, so a
-    caller that keeps it in a local forms no reference cycle.
+    comes without its traceback, which would hold this call's frame, and
+    without the exception the caller may be handling, so a caller that
+    keeps it in a local forms no reference cycle.
 
     The records are collected in a list and each one is the pose the next
     statement starts from, so the trace tuple and the returned state are
@@ -267,6 +268,7 @@ def run(program: Program, world: World, initial: RobotState | None = None) -> Ro
             record = _execute(pose, world, statement)
         except SimError as err:
             err.state = _state_after(pose, tuple(records))
+            err.__context__ = None
             return err.with_traceback(None)
         records.append(record)
         pose = record

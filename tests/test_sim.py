@@ -565,3 +565,8 @@ def test_returned_sim_error_has_no_traceback_or_context(error):
     result = run(program(SIM_ERROR_ENDINGS[error]), WORLD)
     assert type(result) is error
     assert result.__traceback__ is None and result.__context__ is None
+    try:
+        raise ValueError("handled while run is called")
+    except ValueError:
+        result = run(program(SIM_ERROR_ENDINGS[error]), WORLD)
+    assert result.__context__ is None
