@@ -85,9 +85,9 @@ def load_tasks(path) -> list[TaskRecord]:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, UnicodeDecodeError) as err:
-        raise DatasetError(f"cannot read dataset: {err}") from err
-    except json.JSONDecodeError as err:
-        raise DatasetError(f"dataset is not valid JSON: {err}") from err
+        raise DatasetError(f"cannot read dataset {path}: {err}") from err
+    except ValueError as err:  # also an integer past the int-to-str digit limit
+        raise DatasetError(f"dataset {path} is not valid JSON: {err}") from err
     if not isinstance(raw, list):
         raise DatasetError("dataset must be a JSON list of tasks")
 

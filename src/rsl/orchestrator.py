@@ -42,24 +42,27 @@ _FENCE_RE = re.compile(
 _KEYWORD_LINE_RE = re.compile(r"^\s*(?:" + _KEYWORD_ALTERNATION + r")\b")
 
 
-@functools.lru_cache(maxsize=256)
-def _verified_shot(shot_rsl: str) -> Program:
-    """check() one shot and return its verified program. Only verified shots
-    are cached, so a template copied per task re-checks nothing and a bad
-    shot raises every time."""
-    outcome = check(shot_rsl)
-    if outcome.diagnostics:
-        raise ValueError(render(outcome.diagnostics[0]))
-    return outcome.program
+@functools.lru_cache(maxsize=16)
+def _prompt_prefix(system: str, shots: tuple[tuple[str, str], ...]) -> tuple[ChatMessage, ...]:
+    """The system and shot messages, each shot's program checked before its
+    pair is added. Only built prefixes are cached, so a bad shot raises every
+    time."""
+    prefix = [ChatMessage("system", system)]
+    for shot_task, shot_rsl in shots:
+        diagnostics = check(shot_rsl).diagnostics
+        if diagnostics:
+            first = render(diagnostics[0])
+            raise ValueError(f"shot for task {shot_task!r} does not verify: {first}")
+        prefix += (ChatMessage("user", shot_task), ChatMessage("assistant", shot_rsl))
+    return tuple(prefix)
 
 
 @dataclass(frozen=True)
 class PromptParts:
     """System message, exemplar (task, program) shots, and the user task.
-    Shots may be empty (zero-shot); when present each shot's program must
-    verify cleanly, enforced at construction. A shot is checked the first
-    time it is seen and its verified program kept, so a template copied per
-    task with dataclasses.replace(template, task=...) makes no check calls."""
+    Shots may be empty (zero-shot). Construction verifies each shot as it
+    builds the cached system and shot messages, so a per-task copy made with
+    dataclasses.replace(template, task=...) makes no check calls."""
 
     system_message: str
     shots: tuple[tuple[str, str], ...]
@@ -69,13 +72,7 @@ class PromptParts:
         if not self.system_message.strip():
             raise ValueError("system message must be non-empty")
         object.__setattr__(self, "shots", tuple(map(tuple, self.shots)))
-        for shot_task, shot_rsl in self.shots:
-            try:
-                _verified_shot(shot_rsl)
-            except ValueError as err:
-                raise ValueError(
-                    f"shot for task {shot_task!r} does not verify: {err}"
-                ) from None
+        _prompt_prefix(self.system_message, self.shots)
 
 
 @dataclass(frozen=True)
@@ -100,20 +97,9 @@ class TranslationAborted(LlmError):
         self.cause = cause
 
 
-@functools.lru_cache(maxsize=16)
-def _prompt_prefix(system: str, shots: tuple[tuple[str, str], ...]) -> tuple[ChatMessage, ...]:
-    """The system and shot messages. Only built prefixes are cached, so a bad
-    shot message raises every time."""
-    prefix = [ChatMessage("system", system)]
-    for shot_task, shot_rsl in shots:
-        prefix += (ChatMessage("user", shot_task), ChatMessage("assistant", shot_rsl))
-    return tuple(prefix)
-
-
 def build_prompt(parts: PromptParts) -> list[ChatMessage]:
     """One system message, then one user/assistant pair per shot, then the
-    task as the final user message. The system and shot messages are built
-    once per template and shared across tasks; each call returns a new list."""
+    task as the final user message, in a new list on every call."""
     if not parts.task.strip():
         raise ValueError("task must be non-empty")
     prefix = _prompt_prefix(parts.system_message, parts.shots)

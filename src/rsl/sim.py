@@ -31,7 +31,9 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .syntax import IDENTIFIER_RE, Number, Program, Statement, acyclic, render_statement
+from .syntax import (
+    IDENTIFIER_RE, Number, Program, Statement, acyclic, refuse_mutation, render_statement
+)
 
 # Slack for boundary grasps: an approach parks the robot exactly reach_offset
 # from the object, which must still count as within an equal grasp_range
@@ -55,7 +57,8 @@ class WorldError(ValueError):
 
 def load_world(text: str) -> World:
     try:
-        doc = json.loads(text)
+        # Numbers as floats: a huge integer reads as inf, and a boolean stays no float.
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as err:
         raise WorldError(f"world is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
@@ -67,20 +70,17 @@ def load_world(text: str) -> World:
     for name, coords in raw_objects.items():
         if not IDENTIFIER_RE.match(name):
             raise WorldError(f"object name {name!r} is not a valid identifier")
-        if (
-            not isinstance(coords, list)
-            or len(coords) != 2
-            or not all(isinstance(c, (int, float)) for c in coords)
-            or not all(math.isfinite(c) for c in coords)
+        if not isinstance(coords, list) or len(coords) != 2 or not all(
+            isinstance(c, float) and math.isfinite(c) for c in coords
         ):
             raise WorldError(f"object {name!r} needs finite [x, y] coordinates")
-        objects[name] = (float(coords[0]), float(coords[1]))
+        objects[name] = tuple(coords)
     grasp_range = doc.get("grasp_range", 0.5)
     reach_offset = doc.get("reach_offset", 0.5)
     for label, value in (("grasp_range", grasp_range), ("reach_offset", reach_offset)):
-        if not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
+        if not isinstance(value, float) or not math.isfinite(value) or value < 0:
             raise WorldError(f"{label} must be a finite non-negative number")
-    return World(objects, float(grasp_range), float(reach_offset))
+    return World(objects, grasp_range, reach_offset)
 
 
 def load_world_file(path) -> World:
@@ -120,6 +120,9 @@ class RobotState:
     held: str | None = None
     perceived: bool = False
     trace: tuple[TraceRecord, ...] = ()
+
+
+RobotState.__setattr__ = RobotState.__delattr__ = refuse_mutation
 
 
 class SimError(Exception):

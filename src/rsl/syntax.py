@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import gc
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -103,6 +103,12 @@ class Number(NamedTuple):
     raw: str
 
 
+def refuse_mutation(self, name: str, *value) -> None:
+    """__setattr__ and __delattr__ of the slotted frozen dataclasses, whose
+    generated pair raises TypeError for a name that is not a field."""
+    raise FrozenInstanceError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Statement:
     """One command: keyword plus arguments per STATEMENT_SCHEMAS.
@@ -131,6 +137,7 @@ class Statement:
                 raise ValueError(f"{self.keyword} expects an object-name argument")
 
 
+Statement.__setattr__ = Statement.__delattr__ = refuse_mutation
 _set_keyword, _set_args, _set_span = (
     Statement.__dict__[name].__set__ for name in ("keyword", "args", "span")
 )
@@ -159,6 +166,9 @@ class Program:
     statements: tuple[Statement, ...] = ()
     source: str = field(compare=False, default="")
     verified: bool = field(default=False, init=False, compare=False, repr=False)
+
+
+Program.__setattr__ = Program.__delattr__ = refuse_mutation
 
 
 def acyclic(function):

@@ -98,12 +98,25 @@ def test_malformed_file_rejected(tmp_path):
         load_tasks(path)
     with pytest.raises(DatasetError):
         load_tasks(tmp_path / "missing.json")
+    # An integer past the int-to-str digit limit makes json raise ValueError.
+    path.write_text("[" + "1" * 5000 + "]", encoding="utf-8")
+    with pytest.raises(DatasetError):
+        load_tasks(path)
 
 
 def test_non_utf8_dataset_rejected(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'[{"id": "caf\xe9"}]')
     with pytest.raises(DatasetError, match="cannot read dataset"):
+        load_tasks(path)
+
+
+@pytest.mark.parametrize("name, content", [("missing.json", None), ("latin1.json", b"\xff"), ("truncated.json", b"[")])
+def test_dataset_file_errors_name_the_file(tmp_path, name, content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(DatasetError, match=name):
         load_tasks(path)
 
 

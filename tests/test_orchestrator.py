@@ -247,14 +247,6 @@ def count_checks(monkeypatch):
     return calls
 
 
-def test_prompt_parts_keep_verified_shot_programs():
-    template = make_prompt_parts("t")
-    for _, shot_rsl in template.shots:
-        program = orchestrator_mod._verified_shot(shot_rsl)
-        assert program.verified
-        assert program == check(shot_rsl).program
-
-
 def test_per_task_replace_does_not_recheck_shots(monkeypatch):
     template = make_prompt_parts("t")
     calls = count_checks(monkeypatch)
@@ -266,7 +258,7 @@ def test_per_task_replace_does_not_recheck_shots(monkeypatch):
 
 
 def test_template_construction_checks_each_shot_once(monkeypatch):
-    orchestrator_mod._verified_shot.cache_clear()
+    orchestrator_mod._prompt_prefix.cache_clear()
     calls = count_checks(monkeypatch)
     template = make_prompt_parts("t")
     assert calls == [shot_rsl for _, shot_rsl in template.shots]
@@ -274,10 +266,11 @@ def test_template_construction_checks_each_shot_once(monkeypatch):
 
 def test_replacing_shots_verifies_the_new_ones(monkeypatch):
     template = make_prompt_parts("t")
-    orchestrator_mod._verified_shot.cache_clear()
+    orchestrator_mod._prompt_prefix.cache_clear()
     calls = count_checks(monkeypatch)
+    message = "shot for task 'Broken task' does not verify: Line 1: The statement must end"
     for _ in range(2):
-        with pytest.raises(ValueError, match="does not verify"):
+        with pytest.raises(ValueError, match=message):
             replace(template, shots=(("Broken task", "approach table"),))
     replace(template, shots=(("Grasp the cup.", "grasp cup;"),))
     assert calls == ["approach table", "approach table", "grasp cup;"]
@@ -371,10 +364,9 @@ def test_list_shots_give_the_tuple_prompt():
 
 
 def test_shot_with_empty_task_raises_on_every_call():
-    bad = PromptParts(SYSTEM, (("", "grasp cup;"),), "t")
     for _ in range(2):
         with pytest.raises(ValueError, match="user message content must be non-empty"):
-            build_prompt(bad)
+            PromptParts(SYSTEM, (("", "grasp cup;"),), "t")
 
 
 def test_consecutive_tasks_keep_their_turns_apart():

@@ -268,6 +268,20 @@ def test_world_loading_and_validation():
         load_world('{"objects": {"cup": [0]}}')
     with pytest.raises(WorldError):
         load_world('{"objects": {}, "grasp_range": -1}')
+    # JSON booleans are ints to Python but are not coordinates or distances.
+    with pytest.raises(WorldError, match="coordinates"):
+        load_world('{"objects": {"cup": [true, false]}}')
+    with pytest.raises(WorldError, match="grasp_range"):
+        load_world('{"objects": {}, "grasp_range": true}')
+    with pytest.raises(WorldError, match="reach_offset"):
+        load_world('{"objects": {}, "reach_offset": false}')
+    # An integer too large for a float, and one past the digit limit.
+    with pytest.raises(WorldError, match="coordinates"):
+        load_world('{"objects": {"cup": [1%s, 0]}}' % ("0" * 400))
+    with pytest.raises(WorldError, match="grasp_range"):
+        load_world('{"objects": {}, "grasp_range": 1%s}' % ("0" * 400))
+    with pytest.raises(WorldError):
+        load_world('{"objects": {"cup": [1%s, 0]}}' % ("0" * 5000))
 
 
 @pytest.mark.parametrize("name, content", [("missing.json", None), ("latin1.json", b"\xff"), ("truncated.json", b"{")])
