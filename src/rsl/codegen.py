@@ -64,7 +64,9 @@ def load_manifest(text: str) -> SkillManifest:
     """
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as err:
+    except ManifestError:  # a duplicate key
+        raise
+    except ValueError as err:  # also an integer past the int-to-str digit limit
         raise ManifestError(f"manifest is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
@@ -154,17 +156,18 @@ def generate(program: Program, manifest: SkillManifest) -> str:
             raise GenerationError(f"program is not verified: {render(diagnostics[0])}")
 
     used: dict[str, set[str]] = {}
+    calls = []
     for statement in program.statements:
         binding = manifest.bindings.get(statement.keyword)
         if binding is None:
             raise GenerationError(f"no binding for keyword {statement.keyword!r}")
         used.setdefault(binding.module_path, set()).add(binding.function_name)
+        calls.append(_call_line(statement, binding))
 
     lines = list(manifest.preamble)
     for module in sorted(used):
         lines.append(f"from {module} import {', '.join(sorted(used[module]))}")
-    if lines and program.statements:
+    if lines and calls:
         lines.append("")
-    for statement in program.statements:
-        lines.append(_call_line(statement, manifest.bindings[statement.keyword]))
+    lines += calls
     return "\n".join(lines) + ("\n" if lines else "")

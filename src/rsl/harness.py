@@ -17,14 +17,15 @@ import csv
 import fnmatch
 import io
 import json
+import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from typing import Sequence
 
 from .diagnostics import render
 from .llm import ModelConfig, Transport, TransportError
-from .orchestrator import LoopOutcome, PromptParts, TranslationAborted, translate
+from .orchestrator import DEFAULT_MAX_PASSES, PromptParts, TranslationAborted, translate
 from .sim import RobotState, SimError, World, run
 from .syntax import Number
 
@@ -42,6 +43,18 @@ _PREDICATE_FIELDS = {
     "held": ("object",),
     "perceived": (),
     "pose": ("x", "y", "tol"),
+}
+# Every predicate field, required or optional: (what it must be, its test).
+_STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
+_FINITE = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_FIELD_TYPES = {
+    "actions": ("a list of non-blank strings", lambda v: _STRINGS[1](v) and all(map(str.strip, v))),
+    "keywords": _STRINGS,
+    "object": ("a string", lambda v: type(v) is str),
+    "min_count": ("an integer", lambda v: type(v) is int),
+    "min": _FINITE, "max": _FINITE, "x": _FINITE, "y": _FINITE,
+    "tol": ("a finite number >= 0", lambda v: _FINITE[1](v) and v >= 0),
+    **dict.fromkeys(("min_exclusive", "max_exclusive"), ("a boolean", lambda v: type(v) is bool)),
 }
 _LOOK_KEYWORDS = frozenset({"lookup", "lookdown", "lookleft", "lookright"})
 _DEFAULT_TOL = 1e-6
@@ -70,11 +83,13 @@ def _validate_predicate(pred: object, task_id: str) -> dict:
     if not isinstance(pred, dict) or "kind" not in pred:
         raise DatasetError(f"task {task_id}: predicate must be an object with a kind")
     kind = pred["kind"]
-    if kind not in _PREDICATE_FIELDS:
+    if type(kind) is not str or kind not in _PREDICATE_FIELDS:
         raise DatasetError(f"task {task_id}: unknown predicate kind {kind!r}")
-    for field_name in _PREDICATE_FIELDS[kind]:
-        if field_name not in pred:
-            raise DatasetError(f"task {task_id}: {kind} predicate needs {field_name!r}")
+    for name, (what, holds) in _FIELD_TYPES.items():
+        if name in _PREDICATE_FIELDS[kind] and name not in pred:
+            raise DatasetError(f"task {task_id}: {kind} predicate needs {name!r}")
+        if name in pred and not holds(pred[name]):
+            raise DatasetError(f"task {task_id}: {kind} predicate field {name!r} must be {what}")
     return pred
 
 
@@ -316,7 +331,7 @@ def _evaluate_one(
 ) -> TaskResult:
     parts = replace(parts_template, task=task.text)
     try:
-        outcome: LoopOutcome = translate(parts, config, max_passes, transport=transport)
+        outcome = translate(parts, config, max_passes, transport=transport)
     except TranslationAborted as err:
         return TaskResult(
             task.id, task.group, False, False, max_passes, (), error=str(err)
@@ -334,7 +349,7 @@ def evaluate(
     config: ModelConfig,
     parts_template: PromptParts,
     world: World,
-    max_passes: int = 5,
+    max_passes: int = DEFAULT_MAX_PASSES,
     transport: Transport | None = None,
     parallelism: int = 1,
 ) -> EvalReport:
@@ -374,18 +389,7 @@ def report_to_json(report: EvalReport) -> str:
         "accuracy_count": report.accurate_count,
         "accuracy": report.accuracy,
         "mean_pass": report.mean_pass,
-        "per_task": [
-            {
-                "id": r.id,
-                "group": r.group,
-                "success": r.success,
-                "accurate": r.accurate,
-                "passes": r.passes,
-                "diagnostics_history": [list(p) for p in r.diagnostics_history],
-                "error": r.error,
-            }
-            for r in report.per_task
-        ],
+        "per_task": [asdict(r) for r in report.per_task],
     }
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 

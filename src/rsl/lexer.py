@@ -4,7 +4,7 @@ One master regular expression, _TOKEN_RE, names every lexeme class; lex walks
 its matches in order and dispatches on what matched, so every character of
 the source belongs to exactly one match. A well-formed statement on one line,
 with a lowercase keyword and only spaces and tabs inside, is one match: there
-is one alternative per parameter shape in STATEMENT_SCHEMAS, and lex emits
+is one alternative per token-kind shape in STATEMENT_KINDS, and lex emits
 the statement's tokens from its groups. Anything else, such as a statement
 broken across lines or by a comment, a case-variant keyword or a bad lexeme,
 falls back to one match per token. Gaps (whitespace, newlines, closed
@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass
 
 from .diagnostics import Category, Diagnostic
-from .syntax import KEYWORDS, STATEMENT_SCHEMAS, SourceSpan, Token, TokenKind
+from .syntax import IDENTIFIER, KEYWORDS, NUMERAL, STATEMENT_KINDS, SourceSpan, Token, TokenKind
 
 # Enum members as module globals: a lookup on the class runs EnumType's hook.
 _KEYWORD, _IDENTIFIER, _NUMBER = TokenKind.KEYWORD, TokenKind.IDENTIFIER, TokenKind.NUMBER
@@ -50,46 +50,42 @@ _isfinite = math.isfinite
 
 
 def _statement_alternatives() -> tuple[str, dict[str, tuple]]:
-    """One alternative per parameter shape in STATEMENT_SCHEMAS, a whole
-    statement on one line: a lowercase keyword of that shape, its parameters
-    with a comma between each two, and the semicolon. Only spaces and tabs
-    come between them, and at least one after a keyword with parameters.
-    Also returns, per alternative of _TOKEN_RE, the (group, kind) of each
-    lexeme it matches, in order; a kind that is a Category is a diagnostic,
-    and a word is an identifier unless it is a keyword in some case."""
+    """One alternative per token-kind shape in STATEMENT_KINDS, a whole
+    statement on one line: a lowercase keyword of that shape, then the tokens
+    of its kinds. Only spaces and tabs come between them, and at least one
+    between a keyword and its first parameter. Also returns, per alternative
+    of _TOKEN_RE, the (group, kind) of each lexeme it matches, in order; a
+    kind that is a Category is a diagnostic, and a word is an identifier
+    unless it is a keyword in some case."""
     lexemes = {kind: ((kind, lexeme),) for kind, lexeme in (
         ("word", _IDENTIFIER), ("numeral", _NUMBER), ("semicolon", _SEMICOLON), ("comma", _COMMA),
         ("unclosed", _BAD_COMMENT), ("slash", _BAD_COMMENT), ("char", _BAD_CHARACTER))}
-    shapes: dict[tuple[str, ...], list[str]] = {}
-    for keyword, schema in STATEMENT_SCHEMAS.items():
-        shapes.setdefault(schema, []).append(keyword)
+    shapes: dict[tuple[TokenKind, ...], list[str]] = {}
+    for keyword, kinds in STATEMENT_KINDS.items():
+        shapes.setdefault(tuple(kinds), []).append(keyword)
     # A number is followed by spaces or tabs and "," or ";", which cannot
     # continue a numeral, so "2.5.3" and "3apple" still go to numeral.
-    number = (r"-?[0-9]+(?:\.[0-9]+)?", _NUMBER)
-    parameter = {"number": number, "object": (r"[A-Za-z_][A-Za-z0-9_]*", _IDENTIFIER)}
+    regex = {_NUMBER: NUMERAL, _IDENTIFIER: IDENTIFIER, _COMMA: ",", _SEMICOLON: ";"}
     alternatives = []
-    for index, (schema, keywords) in enumerate(shapes.items()):
+    for index, (kinds, keywords) in enumerate(shapes.items()):
         name = f"s{index}"
         pattern, groups = f"(?P<{name}k>{'|'.join(keywords)})", [(f"{name}k", _KEYWORD)]
-        for i, param in enumerate(schema):
-            if i:
-                pattern += rf"[ \t]*(?P<{name}c{i}>,)"
-                groups.append((f"{name}c{i}", _COMMA))
-            regex, kind = parameter[param]
-            pattern += rf"[ \t]{'*' if i else '+'}(?P<{name}p{i}>{regex})"
-            groups.append((f"{name}p{i}", kind))
-        # The semicolon's group, the last to close, names the alternative: a
-        # group around all of it would add to the cost of every match.
-        alternatives.append(rf"{pattern}[ \t]*(?P<{name}>;)")
-        lexemes[name] = (*groups, (name, _SEMICOLON))
+        for i, kind in enumerate(kinds):
+            # The semicolon's group, the last to close, names the alternative:
+            # a group around all of it would add to the cost of every match.
+            group = name if kind is _SEMICOLON else f"{name}t{i}"
+            gap = "+" if i == 0 and kind is not _SEMICOLON else "*"
+            pattern += rf"[ \t]{gap}(?P<{group}>{regex[kind]})"
+            groups.append((group, kind))
+        alternatives.append(pattern)
+        lexemes[name] = tuple(groups)
     return "|".join(alternatives), lexemes
 
 
 _STATEMENT_ALTERNATIVES, _LEXEMES = _statement_alternatives()
 
 # Alternatives are tried in order at each position. Character classes are
-# spelled out in ASCII because \w and \d also match letters and digits of
-# other scripts, which are illegal characters here. The gap never backtracks,
+# spelled out in ASCII, as in syntax.IDENTIFIER. The gap never backtracks,
 # because char or \Z matches wherever it stops, so it needs no atomic group.
 _TOKEN_RE = re.compile(
     # The search for */ starts after the /*, so "/*/" does not close.
@@ -97,12 +93,11 @@ _TOKEN_RE = re.compile(
     # A clean one-line statement whose keyword is lowercase: one match, with
     # only spaces and tabs between its tokens.
     rf"(?:{_STATEMENT_ALTERNATIVES}"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<word>{IDENTIFIER})"
     # A digit-led run of letters, digits and dots is one lexeme, so that
     # "123.23.45" and "3apple" each become a single diagnostic. It is a number
-    # when all of it is its prefix: an optional sign, digits and an optional
-    # single fraction, with no exponent and no leading or trailing dot.
-    r"|(?P<numeral>(?P<prefix>-?[0-9]+(?:\.[0-9]+)?)[A-Za-z0-9_.]*)"
+    # when all of it is its prefix, a NUMERAL.
+    rf"|(?P<numeral>(?P<prefix>{NUMERAL})[A-Za-z0-9_.]*)"
     r"|(?P<semicolon>;)"
     r"|(?P<comma>,)"
     # Unterminated: diagnose the opening line, swallow the rest of the input.

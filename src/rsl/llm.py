@@ -204,11 +204,4 @@ def config_from_env(
         raise ValueError(f"no endpoint: set {ENV_BASE_URL} or pass --base-url")
     if not resolved_model:
         raise ValueError(f"no model: set {ENV_MODEL} or pass --model")
-    return ModelConfig(
-        base_url=resolved_url,
-        model_name=resolved_model,
-        api_key=resolved_key,
-        temperature=0.0,
-        timeout=60.0,
-        max_retries=3,
-    )
+    return ModelConfig(resolved_url, resolved_model, resolved_key, timeout=60.0)

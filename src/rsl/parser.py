@@ -2,7 +2,7 @@
 
 Statement dispatch inspects exactly one lookahead token and the stream only
 moves forward; there is no backtracking. Match, else diagnose: at a keyword,
-the kinds of the tokens after it are compared with its STATEMENT_SCHEMAS
+the kinds of the tokens after it are compared with its STATEMENT_KINDS
 entry, parameters with commas between them and then a semicolon, and a
 statement that matches is taken in one step. syntax.trusted_statement builds
 it without Statement's schema re-check. Otherwise the tokens are checked one
@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from .diagnostics import Category, Diagnostic, source_order
 from .lexer import lex
 from .syntax import (
+    DUMMY_SPAN,
     Number,
     Program,
     SourceSpan,
-    STATEMENT_SCHEMAS,
+    STATEMENT_KINDS,
     POSITIVE_MAGNITUDE_KEYWORDS,
     Statement,
     Token,
@@ -42,13 +43,6 @@ _new = tuple.__new__
 # Tuples, whose membership test compares identities, not Enum.__hash__ values.
 _SYNC_KINDS = (_SEMICOLON, _KEYWORD, _END)
 _ARGUMENT_KINDS = (_NUMBER, _IDENTIFIER, _COMMA)
-# Per keyword, the kinds of the tokens after it in a well-formed statement:
-# its parameters in position order, a comma between each two, a semicolon.
-_PARAM_KIND = {"number": _NUMBER, "object": _IDENTIFIER}
-_STATEMENT_KINDS = {
-    kw: [kind for param in schema for kind in (_COMMA, _PARAM_KIND[param])][1:] + [_SEMICOLON]
-    for kw, schema in STATEMENT_SCHEMAS.items()
-}
 
 
 @dataclass(frozen=True)
@@ -67,7 +61,7 @@ class TokenStream:
     def __init__(self, tokens) -> None:
         toks = list(tokens)
         if not toks or toks[-1].kind is not _END:
-            toks.append(Token(_END, "", SourceSpan(1, 1, 1)))
+            toks.append(Token(_END, "", DUMMY_SPAN))
         self._tokens = toks
         self._pos = 0
 
@@ -127,24 +121,14 @@ def _recover(stream: TokenStream) -> None:
         stream.advance()
 
 
-def _diag_at(
-    category: Category, tok: Token, stream: TokenStream, first: int, source: str, lines: list[str]
-) -> Diagnostic:
-    """A diagnostic at tok. A missing semicolon, or one found at END where
-    there is nothing to point at, names the statement parsed so far."""
-    if tok.kind is not _END and category is not _BAD_SEMICOLON:
-        return _new(Diagnostic, (category, tok.span, tok.text))
-    consumed = stream._tokens[first : stream.pos]
-    span = _statement_span(consumed[0], consumed[-1])
-    return _new(Diagnostic, (category, span, _statement_text(consumed, source, lines)))
-
-
 def _statement_diagnostic(
     stream: TokenStream, expected: list[TokenKind], source: str, lines: list[str]
 ) -> Diagnostic:
     """The one diagnostic of a statement whose tokens after the keyword are
     not all of the expected kinds, at the first token that is not. The walk
-    ends at the semicolon slot, the last, at the latest."""
+    ends at the semicolon slot, the last, at the latest. A missing semicolon,
+    or a mistake found at END where there is nothing to point at, names the
+    statement parsed so far."""
     first = stream.pos
     stream.advance()
     for kind in expected:
@@ -160,7 +144,11 @@ def _statement_diagnostic(
             category = _BAD_PARAMETER  # a wrong argument
         else:  # a missing comma, or SEMICOLON, KEYWORD or END too early
             category = _BAD_QUANTITY
-        return _diag_at(category, tok, stream, first, source, lines)
+        if tok.kind is not _END and category is not _BAD_SEMICOLON:
+            return _new(Diagnostic, (category, tok.span, tok.text))
+        consumed = stream._tokens[first : stream.pos]
+        span = _statement_span(consumed[0], consumed[-1])
+        return _new(Diagnostic, (category, span, _statement_text(consumed, source, lines)))
 
 
 def parse(tokens, source: str = "") -> ParseOutcome:
@@ -181,7 +169,7 @@ def parse(tokens, source: str = "") -> ParseOutcome:
         # Match, else diagnose: a statement whose tokens are all of the
         # expected kinds is taken in one step.
         keyword = tok.keyword or tok.text
-        end = first + len(expected := _STATEMENT_KINDS[keyword])
+        end = first + len(expected := STATEMENT_KINDS[keyword])
         if kinds[first + 1 : end + 1] == expected:
             args = ()
             for t in tokens[first + 1 : end : 2]:

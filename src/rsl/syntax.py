@@ -45,7 +45,12 @@ POSITIVE_MAGNITUDE_KEYWORDS = frozenset(
     kw for kw, schema in STATEMENT_SCHEMAS.items() if schema == ("number",)
 )
 
-IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# Lexeme patterns, spelled out in ASCII: \w and \d also match letters and
+# digits of other scripts. A numeral is an optional sign, digits and an
+# optional single fraction, with no exponent and no leading or trailing dot.
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+NUMERAL = r"-?[0-9]+(?:\.[0-9]+)?"
+IDENTIFIER_RE = re.compile(IDENTIFIER + r"\Z")
 
 
 class SourceSpan(NamedTuple):
@@ -79,6 +84,17 @@ class TokenKind(Enum):
     COMMA = "comma"
     SEMICOLON = "semicolon"
     END = "end"
+
+
+# Per keyword, the kinds of the tokens after it in a well-formed statement:
+# its parameters in position order, a comma between each two, a semicolon.
+# Lists, as the parser compares them with a slice of its token kinds.
+STATEMENT_KINDS: dict[str, list[TokenKind]] = {
+    kw: [kind for param in schema for kind in (
+        TokenKind.COMMA, TokenKind.NUMBER if param == "number" else TokenKind.IDENTIFIER
+    )][1:] + [TokenKind.SEMICOLON]
+    for kw, schema in STATEMENT_SCHEMAS.items()
+}
 
 
 class Token(NamedTuple):

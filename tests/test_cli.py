@@ -61,6 +61,23 @@ def test_compile_writes_output(tmp_path, capsys):
     assert 'grasp("cup")' in text
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--json", "-o", "OUT"]],
+                         ids=["stdout", "json", "json-output"])
+def test_compile_output_forms(tmp_path, capsys, flags):
+    source = write(tmp_path, "ok.rsl", "forward 1.5;\ngrasp cup;")
+    out_path = str(tmp_path / "control.py")
+    emitted = rsl.generate(rsl.check("forward 1.5;\ngrasp cup;").program, rsl.default_manifest())
+    assert main(["compile", source, *(out_path if f == "OUT" else f for f in flags)]) == 0
+    out = capsys.readouterr().out
+    if not flags:
+        assert out == emitted
+    elif "-o" in flags:
+        assert json.loads(out) == {"ok": True, "output": out_path}
+        assert Path(out_path).read_text(encoding="utf-8") == emitted
+    else:
+        assert json.loads(out) == {"ok": True, "program": emitted}
+
+
 def test_compile_refuses_on_diagnostics(tmp_path, capsys):
     source = write(tmp_path, "bad.rsl", "approach table")
     out_path = tmp_path / "control.py"
@@ -108,6 +125,18 @@ def test_run_reports_unknown_object(tmp_path, capsys):
     source = write(tmp_path, "bad.rsl", "grasp ghost;")
     assert main(["run", source]) == 1
     assert "UnknownObject" in capsys.readouterr().err
+
+
+def test_run_json_reports_unknown_object(tmp_path, capsys):
+    source = write(tmp_path, "bad.rsl", "forward 1; perceive; grasp ghost;")
+    assert main(["run", "--json", source]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert doc["error_kind"] == "UnknownObject"
+    assert "ghost" in doc["error"]
+    assert doc["executed"] == 2
+    assert doc["trace"] == source + ".trace.jsonl"
+    assert len(Path(doc["trace"]).read_text(encoding="utf-8").splitlines()) == 2
 
 
 def test_run_rejects_unverified_source(tmp_path, capsys):
@@ -250,6 +279,23 @@ def test_eval_rejects_bad_dataset(tmp_path, capsys):
     dataset = write(tmp_path, "tasks.json", json.dumps([{"id": "x"}]))
     assert main(["eval", "--backend", "oracle", "--dataset", dataset]) == 2
     capsys.readouterr()
+
+
+def test_eval_rejects_mistyped_predicate_before_any_model_call(tmp_path, capsys):
+    records = [
+        {"id": t.id, "group": t.group, "text": t.text,
+         "expectation": {"predicates": [dict(p) for p in t.expectation.predicates]}}
+        for t in rsl.load_default_tasks()
+    ]
+    records[0]["expectation"]["predicates"] = [{"kind": "looks", "min_count": None}]
+    dataset = write(tmp_path, "tasks.json", json.dumps(records))
+    report = tmp_path / "r.json"
+    argv = ["eval", "--backend", "oracle", "--dataset", dataset, "--report-json", str(report)]
+    assert main(argv) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error:"), err_lines
+    assert "'min_count'" in err_lines[0]
+    assert not report.exists()
 
 
 def test_eval_json_output(tmp_path, capsys, monkeypatch):

@@ -122,9 +122,37 @@ def test_duplicate_keyword_rejected():
         load_manifest(duplicated)
 
 
+def without(mapping, key):
+    del mapping[key]
+    return mapping
+
+
 def test_malformed_json_rejected():
     with pytest.raises(ManifestError, match="JSON"):
         load_manifest("{not json")
+    # An integer past the int-to-str digit limit makes json raise ValueError.
+    with pytest.raises(ManifestError, match="not valid JSON"):
+        load_manifest('{"preamble": [1' + "0" * 5000 + "]}")
+    # A duplicate key keeps its own message.
+    with pytest.raises(ManifestError, match="^duplicate key 'preamble' in manifest$"):
+        load_manifest('{"preamble": [], "preamble": []}')
+    forward = manifest_doc()["bindings"]["forward"]
+    for doc, message in [
+        ([], "must be a JSON object"),
+        ({**manifest_doc(), "preamble": "import robot"}, "preamble must be a list of strings"),
+        ({**manifest_doc(), "preamble": [1]}, "preamble must be a list of strings"),
+        (without(manifest_doc(), "bindings"), 'requires a "bindings" object'),
+        ({"bindings": []}, 'requires a "bindings" object'),
+        ({"bindings": {"forward": "robot_interface.forward"}}, "'forward' must be an object"),
+        ({"bindings": {"forward": without(dict(forward), "module")}}, "needs a module"),
+        ({"bindings": {"forward": {**forward, "module": ""}}}, "needs a module"),
+        ({"bindings": {"forward": without(dict(forward), "function")}}, "needs a function"),
+        ({"bindings": {"forward": {**forward, "function": 7}}}, "needs a function"),
+        ({"bindings": {"forward": without(dict(forward), "params")}}, "needs a params list"),
+        ({"bindings": {"forward": {**forward, "params": "number"}}}, "needs a params list"),
+    ]:
+        with pytest.raises(ManifestError, match=message):
+            load_manifest(json.dumps(doc))
 
 
 def test_generate_two_statements():
@@ -278,7 +306,10 @@ def test_trusted_and_rechecked_generation_agree():
         assert generate(checked, manifest) == generate(Program(statements), manifest)
 
 
-@pytest.mark.parametrize("name, content", [("missing.json", None), ("latin1.json", b"\xff"), ("truncated.json", b"{")])
+@pytest.mark.parametrize("name, content", [
+    ("missing.json", None), ("latin1.json", b"\xff"), ("truncated.json", b"{"),
+    pytest.param("huge.json", b'{"preamble": [1' + b"0" * 5000 + b"]}", id="huge.json-5001-digits"),
+])
 def test_manifest_file_errors_name_the_file(tmp_path, name, content):
     path = tmp_path / name
     if content is not None:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,11 +85,115 @@ def test_unknown_group_rejected(tmp_path):
         load_tasks(write_dataset(tmp_path, records))
 
 
-def test_bad_predicate_rejected(tmp_path):
-    records = default_records()
-    records[0]["expectation"]["predicates"] = [{"kind": "telepathy"}]
-    with pytest.raises(DatasetError, match="telepathy"):
-        load_tasks(write_dataset(tmp_path, records))
+def with_predicate(pred):
+    """The dataset with the first task's predicates replaced by pred."""
+    def change(records):
+        records[0]["expectation"]["predicates"] = [pred]
+        return records
+    return change
+
+
+def with_first_task(**fields):
+    """The dataset with fields of the first task set, or deleted where None."""
+    def change(records):
+        for name, value in fields.items():
+            if value is None:
+                del records[0][name]
+            else:
+                records[0][name] = value
+        return records
+    return change
+
+
+# Each mistake, and a pattern its error matches. The first task is s01, and a
+# mistyped field is named with the task and the predicate's kind.
+BAD_DATASETS = {
+    "telepathy": (with_predicate({"kind": "telepathy"}), "telepathy"),
+    "kind-unhashable": (with_predicate({"kind": ["held"]}), "unknown predicate kind"),
+    "no-kind": (with_predicate({"actions": []}), "predicate must be an object with a kind"),
+    "not-an-object": (with_predicate("held"), "predicate must be an object with a kind"),
+    "missing-field": (
+        with_predicate({"kind": "pose", "x": 0, "y": 0}), "pose predicate needs 'tol'",
+    ),
+    "min-count-null": (
+        with_predicate({"kind": "looks", "min_count": None}),
+        "task s01: looks predicate field 'min_count' must be an integer",
+    ),
+    "min-count-bool": (
+        with_predicate({"kind": "looks", "min_count": True}), "looks predicate field 'min_count'",
+    ),
+    "min-count-float": (
+        with_predicate({"kind": "looks", "min_count": 1.5}), "looks predicate field 'min_count'",
+    ),
+    "actions-number": (
+        with_predicate({"kind": "sequence", "actions": [5]}),
+        "task s01: sequence predicate field 'actions' must be a list of non-blank strings",
+    ),
+    "actions-blank": (
+        with_predicate({"kind": "subsequence", "actions": [" "]}),
+        "subsequence predicate field 'actions'",
+    ),
+    "actions-string": (
+        with_predicate({"kind": "sequence", "actions": "forward 1"}),
+        "sequence predicate field 'actions'",
+    ),
+    "keywords-number": (
+        with_predicate({"kind": "only_keywords", "keywords": 5}),
+        "task s01: only_keywords predicate field 'keywords' must be a list of strings",
+    ),
+    "keywords-null-item": (
+        with_predicate({"kind": "only_keywords", "keywords": ["forward", None]}),
+        "only_keywords predicate field 'keywords'",
+    ),
+    "min-string": (
+        with_predicate({"kind": "single_forward_in", "min": "0", "max": 1}),
+        "task s01: single_forward_in predicate field 'min' must be a finite number",
+    ),
+    "max-bool": (
+        with_predicate({"kind": "total_rotation", "min": 0, "max": True}),
+        "total_rotation predicate field 'max'",
+    ),
+    "x-nan": (
+        with_predicate({"kind": "pose", "x": float("nan"), "y": 0, "tol": 0.1}),
+        "pose predicate field 'x'",
+    ),
+    "y-too-large-for-a-float": (
+        with_predicate({"kind": "pose", "x": 0, "y": 10**400, "tol": 0.1}),
+        "pose predicate field 'y'",
+    ),
+    "tol-negative": (
+        with_predicate({"kind": "pose", "x": 0, "y": 0, "tol": -0.1}),
+        "pose predicate field 'tol' must be a finite number >= 0",
+    ),
+    "tol-infinite": (
+        with_predicate({"kind": "sequence", "actions": ["perceive"], "tol": float("inf")}),
+        "sequence predicate field 'tol'",
+    ),
+    "object-number": (
+        with_predicate({"kind": "held", "object": 5}),
+        "task s01: held predicate field 'object' must be a string",
+    ),
+    "exclusive-string": (
+        with_predicate({"kind": "single_forward_in", "min": 0, "max": 1, "min_exclusive": "yes"}),
+        "task s01: single_forward_in predicate field 'min_exclusive' must be a boolean",
+    ),
+    "dataset-not-a-list": (lambda records: {"tasks": records}, "dataset must be a JSON list"),
+    "task-not-an-object": (
+        lambda records: [["s01"], *records[1:]], "each task must be a JSON object",
+    ),
+    "id-not-a-string": (with_first_task(id=1), "each task needs a non-empty string id"),
+    "no-id": (with_first_task(id=None), "each task needs a non-empty string id"),
+    "no-text": (with_first_task(text=None), "task s01: needs a non-empty text"),
+    "empty-text": (with_first_task(text=""), "task s01: needs a non-empty text"),
+    "no-expectation": (with_first_task(expectation=None), "task s01: needs an expectation"),
+    "no-predicates-list": (with_first_task(expectation={}), "task s01: needs an expectation"),
+}
+
+
+@pytest.mark.parametrize("change, message", BAD_DATASETS.values(), ids=BAD_DATASETS.keys())
+def test_bad_predicate_rejected(tmp_path, change, message):
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        load_tasks(write_dataset(tmp_path, change(default_records())))
 
 
 def test_malformed_file_rejected(tmp_path):
@@ -142,6 +247,18 @@ def test_oracle_evaluation_is_perfect():
     assert report.mean_pass == 1.0
     assert report.success_rate == 1.0
     assert report.accuracy == 1.0
+
+
+@pytest.mark.parametrize(
+    "tasks, parallelism, message",
+    [([], 1, "tasks must be non-empty"), (None, 0, "parallelism must be >= 1")],
+    ids=["no-tasks", "parallelism-0"],
+)
+def test_evaluate_rejects_bad_arguments(tasks, parallelism, message):
+    tasks = load_default_tasks() if tasks is None else tasks
+    with pytest.raises(ValueError, match=message):
+        evaluate(tasks, CONFIG, template(), default_world(), transport=OracleTransport(),
+                 parallelism=parallelism)
 
 
 def test_fail_first_needs_the_feedback_pass():

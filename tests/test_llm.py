@@ -133,6 +133,11 @@ def test_empty_choices_is_protocol_error():
             msgs("t"),
             transport=CannedTransport({"choices": [{"message": {}}]}),
         )
+    with pytest.raises(ProtocolError, match="response is not an object"):
+        complete(CONFIG, msgs("t"), transport=CannedTransport(["choices"]))
+    for choice in ({}, "text", {"message": "text"}):
+        with pytest.raises(ProtocolError, match="first choice has no message"):
+            complete(CONFIG, msgs("t"), transport=CannedTransport({"choices": [choice]}))
 
 
 def test_messages_must_start_with_single_system():
@@ -161,6 +166,8 @@ def test_model_config_validation():
         ModelConfig(base_url="http://x", model_name="m", timeout=0)
     with pytest.raises(ValueError):
         ModelConfig(base_url="http://x", model_name="m", temperature=-1)
+    with pytest.raises(ValueError, match="max_retries"):
+        ModelConfig(base_url="http://x", model_name="m", max_retries=-1)
 
 
 class FakeResponse:
@@ -270,6 +277,8 @@ def test_config_from_env_and_overrides():
     assert (config.base_url, config.model_name, config.api_key) == (
         "http://env", "env-model", "ek",
     )
+    # The endpoint gets a longer timeout than ModelConfig's default.
+    assert (config.temperature, config.timeout, config.max_retries) == (0.0, 60.0, 3)
     overridden = config_from_env(env, base_url="http://flag", model_name="flag-model")
     assert (overridden.base_url, overridden.model_name) == ("http://flag", "flag-model")
     with pytest.raises(ValueError):

@@ -63,6 +63,12 @@ def test_empty_task_rejected():
         build_prompt(parts(task="  "))
 
 
+@pytest.mark.parametrize("system", ["", " \n\t"], ids=["empty", "blank"])
+def test_blank_system_message_rejected(system):
+    with pytest.raises(ValueError, match="system message must be non-empty"):
+        PromptParts(system, (), "Approach the door.")
+
+
 def test_bad_shot_rejected_at_construction():
     with pytest.raises(ValueError, match="does not verify"):
         parts(shots=[("Broken task", "approach table")])

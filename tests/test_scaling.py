@@ -3,7 +3,8 @@
 Each case is timed at 1k and 10k statements, best of three runs. The 1k run
 calls the function ten times, so both runs last about as long, and the runs
 of the two sizes alternate, so a slow spell of a shared machine falls on
-both. The garbage collector is off while timing, as in timeit. Linear cost
+both. Time is the test process's CPU time, so other processes' load does
+not count. The garbage collector is off while timing, as in timeit. Linear cost
 gives a 10k/1k ratio per call near 10; the bound of 20 leaves room for
 noise but not for cost that grows with the square of the length.
 """
@@ -35,10 +36,12 @@ MAX_RATIO = 20.0
 
 
 def timed(fn, arg, calls: int) -> float:
-    start = time.perf_counter()
+    """CPU seconds of this process per call, so that load from other processes
+    on the machine does not count toward the ratio."""
+    start = time.process_time()
     for _ in range(calls):
         fn(arg)
-    return (time.perf_counter() - start) / calls
+    return (time.process_time() - start) / calls
 
 
 def assert_linear(fn, inputs) -> None:

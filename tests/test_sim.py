@@ -262,6 +262,10 @@ def test_world_loading_and_validation():
     assert world.grasp_range == 0.4
     with pytest.raises(WorldError):
         load_world("not json")
+    with pytest.raises(WorldError, match="must be a JSON object"):
+        load_world('[{"objects": {}}]')
+    with pytest.raises(WorldError, match='"objects" must be an object'):
+        load_world('{"objects": [["cup", 1, 2]]}')
     with pytest.raises(WorldError):
         load_world('{"objects": {"3bad": [0, 0]}}')
     with pytest.raises(WorldError):
