@@ -30,12 +30,36 @@ class GenerationError(ValueError):
 
 @dataclass(frozen=True)
 class SkillBinding:
-    """Binds one keyword to a target interface function."""
+    """Binds one keyword to a target interface function. Every way of building
+    one checks it, or raises ManifestError, as the names are emitted verbatim:
+    a known keyword, a function that is an identifier, a module of dotted
+    identifiers, none a Python keyword, and param_schema the statement form."""
 
     keyword: str
     module_path: str
     function_name: str
     param_schema: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        kw, module, function = self.keyword, self.module_path, self.function_name
+        if kw not in STATEMENT_SCHEMAS:
+            raise ManifestError(f"unknown keyword {kw!r} in manifest")
+        if not isinstance(module, str) or not module:
+            raise ManifestError(f"binding for {kw!r} needs a module name")
+        if not isinstance(function, str) or not function:
+            raise ManifestError(f"binding for {kw!r} needs a function name")
+        if not all(IDENTIFIER_RE.match(p) and not iskeyword(p) for p in module.split(".")):
+            raise ManifestError(f"binding for {kw!r} has an invalid module name {module!r}")
+        if not IDENTIFIER_RE.match(function) or iskeyword(function):
+            raise ManifestError(f"binding for {kw!r} has an invalid function name {function!r}")
+        params, expected = self.param_schema, list(STATEMENT_SCHEMAS[kw])
+        if type(params) not in (list, tuple):
+            raise ManifestError(f"binding for {kw!r} needs a params list")
+        if list(params) != expected:
+            raise ManifestError(
+                f"binding for {kw!r} declares params {list(params)}, expected {expected}"
+            )
+        object.__setattr__(self, "param_schema", tuple(params))
 
 
 @dataclass(frozen=True)
@@ -54,14 +78,9 @@ def _reject_duplicate_keys(pairs):
 
 
 def load_manifest(text: str) -> SkillManifest:
-    """Parse and validate a manifest document.
-
-    Rejects malformed JSON, duplicate or unknown keywords, parameter schemas
-    that do not match the fixed statement forms, and any missing keyword
-    (naming the absentees). Module and function names go into the generated
-    source verbatim, so a function must be an identifier and a module
-    dot-separated identifiers, none of them a Python keyword.
-    """
+    """Parse a manifest document into bindings, which check themselves (see
+    SkillBinding). Rejects malformed JSON, a duplicate key, a document of
+    the wrong shape and any missing keyword (naming the absentees)."""
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except ManifestError:  # a duplicate key
@@ -81,33 +100,11 @@ def load_manifest(text: str) -> SkillManifest:
 
     bindings: dict[str, SkillBinding] = {}
     for keyword, entry in raw_bindings.items():
-        if keyword not in STATEMENT_SCHEMAS:
-            raise ManifestError(f"unknown keyword {keyword!r} in manifest")
         if not isinstance(entry, dict):
             raise ManifestError(f"binding for {keyword!r} must be an object")
-        module = entry.get("module")
-        function = entry.get("function")
-        params = entry.get("params")
-        if not isinstance(module, str) or not module:
-            raise ManifestError(f"binding for {keyword!r} needs a module name")
-        if not isinstance(function, str) or not function:
-            raise ManifestError(f"binding for {keyword!r} needs a function name")
-        if not all(IDENTIFIER_RE.match(p) and not iskeyword(p) for p in module.split(".")):
-            raise ManifestError(
-                f"binding for {keyword!r} has an invalid module name {module!r}"
-            )
-        if not IDENTIFIER_RE.match(function) or iskeyword(function):
-            raise ManifestError(
-                f"binding for {keyword!r} has an invalid function name {function!r}"
-            )
-        if not isinstance(params, list):
-            raise ManifestError(f"binding for {keyword!r} needs a params list")
-        expected = list(STATEMENT_SCHEMAS[keyword])
-        if params != expected:
-            raise ManifestError(
-                f"binding for {keyword!r} declares params {params}, expected {expected}"
-            )
-        bindings[keyword] = SkillBinding(keyword, module, function, tuple(params))
+        bindings[keyword] = SkillBinding(
+            keyword, entry.get("module"), entry.get("function"), entry.get("params")
+        )
 
     missing = sorted(STATEMENT_SCHEMAS.keys() - bindings.keys())
     if missing:

@@ -17,7 +17,6 @@ import csv
 import fnmatch
 import io
 import json
-import sys
 import threading
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
@@ -27,7 +26,7 @@ from .diagnostics import render
 from .llm import ModelConfig, Transport, TransportError
 from .orchestrator import DEFAULT_MAX_PASSES, PromptParts, TranslationAborted, translate
 from .sim import RobotState, SimError, World, run
-from .syntax import Number
+from .syntax import Number, finite_number
 
 GROUP_SIZES = {"simple": 6, "ambiguous": 4, "multi_step": 6, "complex": 9}
 TASK_COUNT = sum(GROUP_SIZES.values())
@@ -46,14 +45,14 @@ _PREDICATE_FIELDS = {
 }
 # Every predicate field, required or optional: (what it must be, its test).
 _STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
-_FINITE = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_FINITE = ("a finite number", finite_number)
 _FIELD_TYPES = {
     "actions": ("a list of non-blank strings", lambda v: _STRINGS[1](v) and all(map(str.strip, v))),
     "keywords": _STRINGS,
     "object": ("a string", lambda v: type(v) is str),
     "min_count": ("an integer", lambda v: type(v) is int),
     "min": _FINITE, "max": _FINITE, "x": _FINITE, "y": _FINITE,
-    "tol": ("a finite number >= 0", lambda v: _FINITE[1](v) and v >= 0),
+    "tol": ("a finite number >= 0", lambda v: finite_number(v) and v >= 0),
     **dict.fromkeys(("min_exclusive", "max_exclusive"), ("a boolean", lambda v: type(v) is bool)),
 }
 _LOOK_KEYWORDS = frozenset({"lookup", "lookdown", "lookleft", "lookright"})
@@ -66,9 +65,25 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class TaskExpectation:
-    """Declarative checks over the execution trace and end state."""
+    """Declarative checks over the execution trace and end state. Every way
+    of building one checks each predicate's kind and fields against
+    _PREDICATE_FIELDS and _FIELD_TYPES, or raises DatasetError, so evaluation
+    trusts them."""
 
     predicates: tuple[dict, ...]
+
+    def __post_init__(self) -> None:
+        for pred in self.predicates:
+            if not isinstance(pred, dict) or "kind" not in pred:
+                raise DatasetError("predicate must be an object with a kind")
+            kind = pred["kind"]
+            if type(kind) is not str or kind not in _PREDICATE_FIELDS:
+                raise DatasetError(f"unknown predicate kind {kind!r}")
+            for name, (what, holds) in _FIELD_TYPES.items():
+                if name in _PREDICATE_FIELDS[kind] and name not in pred:
+                    raise DatasetError(f"{kind} predicate needs {name!r}")
+                if name in pred and not holds(pred[name]):
+                    raise DatasetError(f"{kind} predicate field {name!r} must be {what}")
 
 
 @dataclass(frozen=True)
@@ -79,23 +94,10 @@ class TaskRecord:
     expectation: TaskExpectation
 
 
-def _validate_predicate(pred: object, task_id: str) -> dict:
-    if not isinstance(pred, dict) or "kind" not in pred:
-        raise DatasetError(f"task {task_id}: predicate must be an object with a kind")
-    kind = pred["kind"]
-    if type(kind) is not str or kind not in _PREDICATE_FIELDS:
-        raise DatasetError(f"task {task_id}: unknown predicate kind {kind!r}")
-    for name, (what, holds) in _FIELD_TYPES.items():
-        if name in _PREDICATE_FIELDS[kind] and name not in pred:
-            raise DatasetError(f"task {task_id}: {kind} predicate needs {name!r}")
-        if name in pred and not holds(pred[name]):
-            raise DatasetError(f"task {task_id}: {kind} predicate field {name!r} must be {what}")
-    return pred
-
-
 def load_tasks(path) -> list[TaskRecord]:
     """Load and validate the benchmark file: 25 unique tasks partitioned
-    6 simple / 4 ambiguous / 6 multi_step / 9 complex."""
+    6 simple / 4 ambiguous / 6 multi_step / 9 complex. Every error names the
+    file, and an error in a task names the task too."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -103,6 +105,13 @@ def load_tasks(path) -> list[TaskRecord]:
         raise DatasetError(f"cannot read dataset {path}: {err}") from err
     except ValueError as err:  # also an integer past the int-to-str digit limit
         raise DatasetError(f"dataset {path} is not valid JSON: {err}") from err
+    try:
+        return _task_records(raw)
+    except DatasetError as err:
+        raise DatasetError(f"dataset {path}: {err}") from err
+
+
+def _task_records(raw: object) -> list[TaskRecord]:
     if not isinstance(raw, list):
         raise DatasetError("dataset must be a JSON list of tasks")
 
@@ -129,11 +138,12 @@ def load_tasks(path) -> list[TaskRecord]:
             expectation.get("predicates"), list
         ):
             raise DatasetError(f"task {task_id}: needs an expectation with predicates")
-        predicates = tuple(
-            _validate_predicate(p, task_id) for p in expectation["predicates"]
-        )
+        try:
+            expected = TaskExpectation(tuple(expectation["predicates"]))
+        except DatasetError as err:
+            raise DatasetError(f"task {task_id}: {err}") from err
         counts[group] += 1
-        records.append(TaskRecord(task_id, group, text, TaskExpectation(predicates)))
+        records.append(TaskRecord(task_id, group, text, expected))
 
     if counts != GROUP_SIZES:
         want = " / ".join(f"{n} {g}" for g, n in GROUP_SIZES.items())
@@ -179,7 +189,7 @@ def _match_action(pattern: str, record, tol: float) -> bool:
 
 def _holds(pred: dict, state: RobotState) -> bool:
     kind = pred["kind"]
-    tol = float(pred.get("tol", _DEFAULT_TOL))
+    tol = pred.get("tol", _DEFAULT_TOL)
     trace = state.trace
 
     if kind == "sequence":
@@ -200,7 +210,7 @@ def _holds(pred: dict, state: RobotState) -> bool:
         if len(trace) != 1 or trace[0].statement.keyword != "forward":
             return False
         magnitude = trace[0].statement.args[0].value
-        low, high = float(pred["min"]), float(pred["max"])
+        low, high = pred["min"], pred["max"]
         low_ok = magnitude > low if pred.get("min_exclusive") else magnitude >= low
         high_ok = magnitude < high if pred.get("max_exclusive") else magnitude <= high
         return low_ok and high_ok
@@ -211,10 +221,10 @@ def _holds(pred: dict, state: RobotState) -> bool:
                 total += record.statement.args[0].value
             elif record.statement.keyword == "turnright":
                 total -= record.statement.args[0].value
-        return float(pred["min"]) <= abs(total) <= float(pred["max"])
+        return pred["min"] <= abs(total) <= pred["max"]
     if kind == "looks":
         count = sum(1 for r in trace if r.statement.keyword in _LOOK_KEYWORDS)
-        return count >= int(pred["min_count"])
+        return count >= pred["min_count"]
     if kind == "only_keywords":
         allowed = set(pred["keywords"])
         return all(r.statement.keyword in allowed for r in trace)
@@ -222,12 +232,8 @@ def _holds(pred: dict, state: RobotState) -> bool:
         return state.held == pred["object"]
     if kind == "perceived":
         return state.perceived
-    if kind == "pose":
-        return (
-            abs(state.x - float(pred["x"])) <= tol
-            and abs(state.y - float(pred["y"])) <= tol
-        )
-    raise DatasetError(f"unknown predicate kind {kind!r}")
+    # pose, the last kind
+    return abs(state.x - pred["x"]) <= tol and abs(state.y - pred["y"]) <= tol
 
 
 def evaluate_accuracy(outcome: RobotState | SimError, expectation: TaskExpectation) -> bool:

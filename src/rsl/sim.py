@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .syntax import (
-    IDENTIFIER_RE, Number, Program, Statement, acyclic, refuse_mutation, render_statement
+    IDENTIFIER_RE, Program, Statement, acyclic, finite_number, refuse_mutation, render_statement
 )
 
 # Slack for boundary grasps: an approach parks the robot exactly reach_offset
@@ -42,45 +42,48 @@ _GRASP_EPSILON = 1e-9
 _new = tuple.__new__
 
 
+class WorldError(ValueError):
+    """Malformed world, loaded from a document or built by hand."""
+
+
 @dataclass(frozen=True)
 class World:
-    """Named objects at fixed coordinates plus the manipulation geometry."""
+    """Named objects at fixed coordinates plus the manipulation geometry.
+    Every way of building one checks it, or raises WorldError: names are
+    identifiers, coordinates a pair of finite numbers (a list or a tuple,
+    kept as a tuple), and grasp_range and reach_offset finite, not negative."""
 
     objects: dict[str, tuple[float, float]]
     grasp_range: float = 0.5
     reach_offset: float = 0.5
 
-
-class WorldError(ValueError):
-    """Malformed world document."""
+    def __post_init__(self) -> None:
+        if not isinstance(self.objects, dict):
+            raise WorldError("\"objects\" must be an object")
+        for name, coords in self.objects.items():
+            if type(name) is not str or not IDENTIFIER_RE.match(name):
+                raise WorldError(f"object name {name!r} is not a valid identifier")
+            pair = type(coords) in (list, tuple) and len(coords) == 2
+            if not pair or not all(map(finite_number, coords)):
+                raise WorldError(f"object {name!r} needs finite [x, y] coordinates")
+        for label in ("grasp_range", "reach_offset"):
+            value = getattr(self, label)
+            if not finite_number(value) or value < 0:
+                raise WorldError(f"{label} must be a finite non-negative number")
+        object.__setattr__(self, "objects", {name: tuple(c) for name, c in self.objects.items()})
 
 
 def load_world(text: str) -> World:
     try:
-        # Numbers as floats: a huge integer reads as inf, and a boolean stays no float.
+        # Integers as floats: one past the float range reads as inf, which World
+        # rejects, and one past int's digit limit raises no ValueError here.
         doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as err:
         raise WorldError(f"world is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise WorldError("world must be a JSON object")
-    raw_objects = doc.get("objects", {})
-    if not isinstance(raw_objects, dict):
-        raise WorldError("\"objects\" must be an object")
-    objects: dict[str, tuple[float, float]] = {}
-    for name, coords in raw_objects.items():
-        if not IDENTIFIER_RE.match(name):
-            raise WorldError(f"object name {name!r} is not a valid identifier")
-        if not isinstance(coords, list) or len(coords) != 2 or not all(
-            isinstance(c, float) and math.isfinite(c) for c in coords
-        ):
-            raise WorldError(f"object {name!r} needs finite [x, y] coordinates")
-        objects[name] = tuple(coords)
-    grasp_range = doc.get("grasp_range", 0.5)
-    reach_offset = doc.get("reach_offset", 0.5)
-    for label, value in (("grasp_range", grasp_range), ("reach_offset", reach_offset)):
-        if not isinstance(value, float) or not math.isfinite(value) or value < 0:
-            raise WorldError(f"{label} must be a finite non-negative number")
-    return World(objects, grasp_range, reach_offset)
+    geometry = {k: doc[k] for k in ("grasp_range", "reach_offset") if k in doc}
+    return World(doc.get("objects", {}), **geometry)
 
 
 def load_world_file(path) -> World:
@@ -155,12 +158,6 @@ def wrap_heading(theta: float) -> float:
     return wrapped - math.pi
 
 
-def _magnitude(statement: Statement) -> float:
-    arg = statement.args[0]
-    assert isinstance(arg, Number)
-    return arg.value
-
-
 def _object_position(
     world: World, statement: Statement, state: RobotState | TraceRecord
 ) -> tuple[float, float]:
@@ -177,8 +174,9 @@ def _execute(state: RobotState | TraceRecord, world: World, statement: Statement
     the previous statement's record, as it holds the same pose fields.
     Raises a SimError subclass (UnknownObject, GraspOutOfRange, HandFull) on
     failure, and SimError itself when a turn or a goto is given a non-finite
-    number, or finite literals would overflow the position or a camera angle
-    to a non-finite value. Only the fields a statement changes are checked."""
+    number, or finite literals or an approach would overflow the position or
+    a camera angle to a non-finite value. Only the fields a statement changes
+    are checked."""
     x, y, heading = state.x, state.y, state.heading
     cam_pan, cam_tilt = state.cam_pan, state.cam_tilt
     held, perceived = state.held, state.perceived
@@ -187,27 +185,25 @@ def _execute(state: RobotState | TraceRecord, world: World, statement: Statement
 
     # Adding a negated magnitude gives the same float as subtracting it.
     if kw == "forward" or kw == "backward":
-        d = _magnitude(statement) if kw == "forward" else -_magnitude(statement)
+        d = statement.args[0].value if kw == "forward" else -statement.args[0].value
         x += d * math.cos(heading)
         y += d * math.sin(heading)
         finite = math.isfinite(x) and math.isfinite(y)
     elif kw == "turnleft" or kw == "turnright":
-        turn = _magnitude(statement)
+        turn = statement.args[0].value
         finite = math.isfinite(turn)
         if finite:
             heading = wrap_heading(heading + (turn if kw == "turnleft" else -turn))
     elif kw == "lookup" or kw == "lookdown":
-        cam_tilt += _magnitude(statement) if kw == "lookup" else -_magnitude(statement)
+        cam_tilt += statement.args[0].value if kw == "lookup" else -statement.args[0].value
         finite = math.isfinite(cam_tilt)
     elif kw == "lookleft" or kw == "lookright":
-        cam_pan += _magnitude(statement) if kw == "lookleft" else -_magnitude(statement)
+        cam_pan += statement.args[0].value if kw == "lookleft" else -statement.args[0].value
         finite = math.isfinite(cam_pan)
     elif kw == "perceive":
         perceived = True
     elif kw == "goto":
-        first, second = statement.args
-        assert isinstance(first, Number) and isinstance(second, Number)
-        x, y = first.value, second.value
+        x, y = statement.args[0].value, statement.args[1].value
         finite = math.isfinite(x) and math.isfinite(y)
     elif kw == "approach":
         ox, oy = _object_position(world, statement, state)
@@ -217,6 +213,7 @@ def _execute(state: RobotState | TraceRecord, world: World, statement: Statement
         # Park reach_offset short of the object, facing it.
         x = ox - world.reach_offset * math.cos(heading)
         y = oy - world.reach_offset * math.sin(heading)
+        finite = math.isfinite(x) and math.isfinite(y)
     elif kw == "grasp":
         ox, oy = _object_position(world, statement, state)
         if held is not None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import gc
 import re
+import sys
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -51,6 +52,11 @@ POSITIVE_MAGNITUDE_KEYWORDS = frozenset(
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
 NUMERAL = r"-?[0-9]+(?:\.[0-9]+)?"
 IDENTIFIER_RE = re.compile(IDENTIFIER + r"\Z")
+
+
+def finite_number(value: object) -> bool:
+    """An int or a float, not a bool, in the float range (math.isfinite fails on a huge int)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 class SourceSpan(NamedTuple):

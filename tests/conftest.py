@@ -15,9 +15,11 @@ def fast_backoff(monkeypatch):
 @pytest.fixture(autouse=True)
 def collector_left_enabled():
     """check and run pause the cyclic garbage collector only for their own
-    call, so no test may end with it off. It is turned back on before the
-    test fails, so one such test does not change the ones after it."""
+    call, and a test that freezes the heap thaws it, so no test may end with
+    the collector off or objects frozen. Both are undone before the test
+    fails, so one such test does not change the ones after it."""
     yield
-    if not gc.isenabled():
+    if not gc.isenabled() or gc.get_freeze_count():
         gc.enable()
-        pytest.fail("the test left the cyclic garbage collector disabled")
+        gc.unfreeze()
+        pytest.fail("the test left the cyclic garbage collector disabled or the heap frozen")

@@ -18,6 +18,7 @@ from rsl import (
     Program,
     RobotState,
     SimError,
+    SkillBinding,
     Statement,
     World,
     check,
@@ -153,6 +154,30 @@ def test_malformed_json_rejected():
     ]:
         with pytest.raises(ManifestError, match=message):
             load_manifest(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "binding, message",
+    [
+        (("perceive", "os", "system('echo hi');x", ()), "invalid function name"),
+        (("forward", "robot_interface", "system('x');y", ("number",)), "invalid function name"),
+        (("forward", "robot.class", "forward", ("number",)), "invalid module name"),
+        (("goto", "robot_interface", "goto", ("number",)), r"declares params \['number'\]"),
+        (("grasp", "robot_interface", "grasp", "object"), "needs a params list"),
+        (("fly", "robot_interface", "fly", ("number",)), "unknown keyword 'fly'"),
+    ],
+    ids=[
+        "injected-call", "statement-in-function", "keyword-in-module", "params", "params-string",
+        "keyword",
+    ],
+)
+def test_hand_built_binding_rejected(binding, message):
+    with pytest.raises(ManifestError, match=message):
+        SkillBinding(*binding)
+
+
+def test_hand_built_binding_keeps_params_as_a_tuple():
+    assert SkillBinding("goto", "m", "f", ["number", "number"]).param_schema == ("number", "number")
 
 
 def test_generate_two_statements():

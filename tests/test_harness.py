@@ -105,78 +105,72 @@ def with_first_task(**fields):
     return change
 
 
-# Each mistake, and a pattern its error matches. The first task is s01, and a
-# mistyped field is named with the task and the predicate's kind.
-BAD_DATASETS = {
-    "telepathy": (with_predicate({"kind": "telepathy"}), "telepathy"),
-    "kind-unhashable": (with_predicate({"kind": ["held"]}), "unknown predicate kind"),
-    "no-kind": (with_predicate({"actions": []}), "predicate must be an object with a kind"),
-    "not-an-object": (with_predicate("held"), "predicate must be an object with a kind"),
-    "missing-field": (
-        with_predicate({"kind": "pose", "x": 0, "y": 0}), "pose predicate needs 'tol'",
-    ),
+# Each mistaken predicate, and a pattern its error matches. In the first task,
+# s01, a mistyped field is named with the task and the predicate's kind.
+BAD_PREDICATES = {
+    "telepathy": ({"kind": "telepathy"}, "telepathy"),
+    "kind-unhashable": ({"kind": ["held"]}, "unknown predicate kind"),
+    "no-kind": ({"actions": []}, "predicate must be an object with a kind"),
+    "not-an-object": ("held", "predicate must be an object with a kind"),
+    "missing-field": ({"kind": "pose", "x": 0, "y": 0}, "pose predicate needs 'tol'"),
     "min-count-null": (
-        with_predicate({"kind": "looks", "min_count": None}),
+        {"kind": "looks", "min_count": None},
         "task s01: looks predicate field 'min_count' must be an integer",
     ),
-    "min-count-bool": (
-        with_predicate({"kind": "looks", "min_count": True}), "looks predicate field 'min_count'",
-    ),
-    "min-count-float": (
-        with_predicate({"kind": "looks", "min_count": 1.5}), "looks predicate field 'min_count'",
-    ),
+    "min-count-bool": ({"kind": "looks", "min_count": True}, "looks predicate field 'min_count'"),
+    "min-count-float": ({"kind": "looks", "min_count": 1.5}, "looks predicate field 'min_count'"),
     "actions-number": (
-        with_predicate({"kind": "sequence", "actions": [5]}),
+        {"kind": "sequence", "actions": [5]},
         "task s01: sequence predicate field 'actions' must be a list of non-blank strings",
     ),
     "actions-blank": (
-        with_predicate({"kind": "subsequence", "actions": [" "]}),
-        "subsequence predicate field 'actions'",
+        {"kind": "subsequence", "actions": [" "]}, "subsequence predicate field 'actions'",
     ),
     "actions-string": (
-        with_predicate({"kind": "sequence", "actions": "forward 1"}),
-        "sequence predicate field 'actions'",
+        {"kind": "sequence", "actions": "forward 1"}, "sequence predicate field 'actions'",
     ),
     "keywords-number": (
-        with_predicate({"kind": "only_keywords", "keywords": 5}),
+        {"kind": "only_keywords", "keywords": 5},
         "task s01: only_keywords predicate field 'keywords' must be a list of strings",
     ),
     "keywords-null-item": (
-        with_predicate({"kind": "only_keywords", "keywords": ["forward", None]}),
+        {"kind": "only_keywords", "keywords": ["forward", None]},
         "only_keywords predicate field 'keywords'",
     ),
     "min-string": (
-        with_predicate({"kind": "single_forward_in", "min": "0", "max": 1}),
+        {"kind": "single_forward_in", "min": "0", "max": 1},
         "task s01: single_forward_in predicate field 'min' must be a finite number",
     ),
     "max-bool": (
-        with_predicate({"kind": "total_rotation", "min": 0, "max": True}),
-        "total_rotation predicate field 'max'",
+        {"kind": "total_rotation", "min": 0, "max": True}, "total_rotation predicate field 'max'",
     ),
-    "x-nan": (
-        with_predicate({"kind": "pose", "x": float("nan"), "y": 0, "tol": 0.1}),
-        "pose predicate field 'x'",
+    "x-string": (
+        {"kind": "pose", "x": "1", "y": 0, "tol": 0.1},
+        "task s01: pose predicate field 'x' must be a finite number",
     ),
+    "x-nan": ({"kind": "pose", "x": float("nan"), "y": 0, "tol": 0.1}, "pose predicate field 'x'"),
     "y-too-large-for-a-float": (
-        with_predicate({"kind": "pose", "x": 0, "y": 10**400, "tol": 0.1}),
-        "pose predicate field 'y'",
+        {"kind": "pose", "x": 0, "y": 10**400, "tol": 0.1}, "pose predicate field 'y'",
     ),
     "tol-negative": (
-        with_predicate({"kind": "pose", "x": 0, "y": 0, "tol": -0.1}),
+        {"kind": "pose", "x": 0, "y": 0, "tol": -0.1},
         "pose predicate field 'tol' must be a finite number >= 0",
     ),
     "tol-infinite": (
-        with_predicate({"kind": "sequence", "actions": ["perceive"], "tol": float("inf")}),
+        {"kind": "sequence", "actions": ["perceive"], "tol": float("inf")},
         "sequence predicate field 'tol'",
     ),
     "object-number": (
-        with_predicate({"kind": "held", "object": 5}),
-        "task s01: held predicate field 'object' must be a string",
+        {"kind": "held", "object": 5}, "task s01: held predicate field 'object' must be a string",
     ),
     "exclusive-string": (
-        with_predicate({"kind": "single_forward_in", "min": 0, "max": 1, "min_exclusive": "yes"}),
+        {"kind": "single_forward_in", "min": 0, "max": 1, "min_exclusive": "yes"},
         "task s01: single_forward_in predicate field 'min_exclusive' must be a boolean",
     ),
+}
+# Each mistake in a dataset, and a pattern its error matches.
+BAD_DATASETS = {
+    **{name: (with_predicate(pred), message) for name, (pred, message) in BAD_PREDICATES.items()},
     "dataset-not-a-list": (lambda records: {"tasks": records}, "dataset must be a JSON list"),
     "task-not-an-object": (
         lambda records: [["s01"], *records[1:]], "each task must be a JSON object",
@@ -194,6 +188,13 @@ BAD_DATASETS = {
 def test_bad_predicate_rejected(tmp_path, change, message):
     with pytest.raises(DatasetError, match=re.escape(message)):
         load_tasks(write_dataset(tmp_path, change(default_records())))
+
+
+@pytest.mark.parametrize("pred, message", BAD_PREDICATES.values(), ids=BAD_PREDICATES.keys())
+def test_hand_built_expectation_rejected(pred, message):
+    # No loader: the type checks itself, and only the loader names the task.
+    with pytest.raises(DatasetError, match=re.escape(message.removeprefix("task s01: "))):
+        TaskExpectation((pred,))
 
 
 def test_malformed_file_rejected(tmp_path):
@@ -216,7 +217,10 @@ def test_non_utf8_dataset_rejected(tmp_path):
         load_tasks(path)
 
 
-@pytest.mark.parametrize("name, content", [("missing.json", None), ("latin1.json", b"\xff"), ("truncated.json", b"[")])
+@pytest.mark.parametrize("name, content", [
+    ("missing.json", None), ("latin1.json", b"\xff"), ("truncated.json", b"["),
+    ("not-a-list.json", b'{"tasks": []}'),
+])
 def test_dataset_file_errors_name_the_file(tmp_path, name, content):
     path = tmp_path / name
     if content is not None:

@@ -288,6 +288,36 @@ def test_world_loading_and_validation():
         load_world('{"objects": {"cup": [1%s, 0]}}' % ("0" * 5000))
 
 
+@pytest.mark.parametrize(
+    "objects, geometry, message",
+    [
+        ({"cup": (math.inf, 0.0)}, {}, "coordinates"),
+        ({"cup": (1.0, 0.0)}, {"grasp_range": math.nan}, "grasp_range"),
+        ({"cup": (10**400, 0)}, {}, "coordinates"),
+        ({"cup": (True, 0.0)}, {}, "coordinates"),
+        ({"cup": (1.0, 0.0, 0.0)}, {}, "coordinates"),
+        ({"3bad": (0.0, 0.0)}, {}, "identifier"),
+        ({}, {"reach_offset": -1}, "reach_offset"),
+        ([("cup", (0.0, 0.0))], {}, '"objects" must be an object'),
+    ],
+    ids=[
+        "inf", "grasp-range-nan", "int-past-float-range", "bool", "triple", "name", "negative",
+        "not-a-dict",
+    ],
+)
+def test_hand_built_world_rejected(objects, geometry, message):
+    with pytest.raises(WorldError, match=message):
+        World(objects, **geometry)
+
+
+def test_hand_built_world_accepts_int_coordinates():
+    assert World({"a": (1, 2)}).objects == {"a": (1, 2)}
+
+
+def test_world_keeps_list_coordinates_as_a_tuple():
+    assert World({"a": [1.5, -2]}, 0, 0).objects["a"] == (1.5, -2)
+
+
 @pytest.mark.parametrize("name, content", [("missing.json", None), ("latin1.json", b"\xff"), ("truncated.json", b"{")])
 def test_world_file_errors_name_the_file(tmp_path, name, content):
     path = tmp_path / name
@@ -451,10 +481,29 @@ def grammar_sources(draw):
     return "\n".join(lines)
 
 
+# Coordinates and distances up to the largest float, where an approach from
+# far away can overflow the position.
+BIG_NUMBERS = (1e308, 1.7976931348623157e308)
+world_coordinates = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([*BIG_NUMBERS, *(-n for n in BIG_NUMBERS)]),
+)
+world_distances = st.one_of(
+    st.floats(min_value=0, allow_infinity=False), st.sampled_from(BIG_NUMBERS)
+)
+
+
+@st.composite
+def worlds(draw):
+    objects = {name: (draw(world_coordinates), draw(world_coordinates)) for name in WORLD.objects}
+    return World(objects, draw(world_distances), draw(world_distances))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(grammar_sources())
-def test_verified_programs_stay_finite_and_export_strict_json(source):
-    result = run(program(source), WORLD)
+@given(grammar_sources(), worlds())
+@example(f"goto 179{'0' * 306}, 0; approach a;", World({"a": (1e308, 0.0)}, reach_offset=1e308))
+def test_verified_programs_stay_finite_and_export_strict_json(source, world):
+    result = run(program(source), world)
     state = result.state if isinstance(result, SimError) else result
     assert_finite_pose(state)
     for line in trace_to_jsonl(state).splitlines():
@@ -566,16 +615,26 @@ def _pipeline(source):
 @example(SIM_ERROR_ENDINGS[HandFull])
 @example(SIM_ERROR_ENDINGS[GraspOutOfRange])
 @example("grasp ghost")
-def test_check_and_run_build_no_reference_cycle(source):
-    # check and run pause the cyclic collector; that is safe only while
-    # reference counting alone frees everything they and their callers build.
+def _pipeline_leaves_no_garbage(source):
+    # Frozen, what the heap held before stays out of the count, and the last
+    # collection scans only what the pipeline built.
     gc.collect()
+    gc.freeze()
     gc.disable()
     try:
         _pipeline(source)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_check_and_run_build_no_reference_cycle():
+    # check and run pause the cyclic collector; that is safe only while
+    # reference counting alone frees everything they and their callers build.
+    try:
+        _pipeline_leaves_no_garbage()
+    finally:
+        gc.unfreeze()
 
 
 @pytest.mark.parametrize("error", list(SIM_ERROR_ENDINGS), ids=lambda e: e.__name__)
