@@ -24,8 +24,7 @@ class ManifestError(ValueError):
 
 
 class GenerationError(ValueError):
-    """Code generation invoked outside its contract (unverified program or
-    statement without a binding)."""
+    """Code generation invoked on a program that is not verified."""
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,19 @@ class SkillBinding:
 
 @dataclass(frozen=True)
 class SkillManifest:
+    """A binding for every keyword, filed under that keyword. Every way of
+    building one checks this, or raises ManifestError, as generate trusts it."""
+
     bindings: dict[str, SkillBinding]
     preamble: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for keyword, binding in self.bindings.items():
+            if binding.keyword != keyword:
+                raise ManifestError(f"binding for {keyword!r} is for keyword {binding.keyword!r}")
+        missing = sorted(STATEMENT_SCHEMAS.keys() - self.bindings.keys())
+        if missing:
+            raise ManifestError(f"manifest is missing bindings for: {', '.join(missing)}")
 
 
 def _reject_duplicate_keys(pairs):
@@ -105,10 +115,6 @@ def load_manifest(text: str) -> SkillManifest:
         bindings[keyword] = SkillBinding(
             keyword, entry.get("module"), entry.get("function"), entry.get("params")
         )
-
-    missing = sorted(STATEMENT_SCHEMAS.keys() - bindings.keys())
-    if missing:
-        raise ManifestError(f"manifest is missing bindings for: {', '.join(missing)}")
     return SkillManifest(bindings, tuple(preamble))
 
 
@@ -155,9 +161,7 @@ def generate(program: Program, manifest: SkillManifest) -> str:
     used: dict[str, set[str]] = {}
     calls = []
     for statement in program.statements:
-        binding = manifest.bindings.get(statement.keyword)
-        if binding is None:
-            raise GenerationError(f"no binding for keyword {statement.keyword!r}")
+        binding = manifest.bindings[statement.keyword]
         used.setdefault(binding.module_path, set()).add(binding.function_name)
         calls.append(_call_line(statement, binding))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import fnmatch
+import functools
 import io
 import json
 import threading
@@ -26,7 +27,7 @@ from .diagnostics import render
 from .llm import ModelConfig, Transport, TransportError
 from .orchestrator import DEFAULT_MAX_PASSES, PromptParts, TranslationAborted, translate
 from .sim import RobotState, SimError, World, run
-from .syntax import Number, finite_number
+from .syntax import IDENTIFIER_RE, STATEMENT_SCHEMAS, Number, finite_number
 
 GROUP_SIZES = {"simple": 6, "ambiguous": 4, "multi_step": 6, "complex": 9}
 TASK_COUNT = sum(GROUP_SIZES.values())
@@ -67,8 +68,8 @@ class DatasetError(ValueError):
 class TaskExpectation:
     """Declarative checks over the execution trace and end state. Every way
     of building one checks each predicate's kind and fields against
-    _PREDICATE_FIELDS and _FIELD_TYPES, or raises DatasetError, so evaluation
-    trusts them."""
+    _PREDICATE_FIELDS and _FIELD_TYPES, and that each action pattern can
+    match some statement, or raises DatasetError, so evaluation trusts them."""
 
     predicates: tuple[dict, ...]
 
@@ -84,6 +85,9 @@ class TaskExpectation:
                     raise DatasetError(f"{kind} predicate needs {name!r}")
                 if name in pred and not holds(pred[name]):
                     raise DatasetError(f"{kind} predicate field {name!r} must be {what}")
+            for action in pred.get("actions", ()):
+                if not _action_pattern(action)[0]:
+                    raise DatasetError(f"{kind} predicate action {action!r} can match no statement")
 
 
 @dataclass(frozen=True)
@@ -160,29 +164,45 @@ def load_default_tasks() -> list[TaskRecord]:
 # ---------------------------------------------------------------------------
 # Accuracy predicates
 
+def _pattern_arg(text: str) -> float | str | None:
+    """None for *, the value of a finite number, else the text."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None if text == "*" else text
+    return value if finite_number(value) else text
+
+
+@functools.lru_cache(maxsize=256)
+def _action_pattern(action: str) -> tuple[frozenset[str], tuple[float | str | None, ...]]:
+    """Parse an action pattern, "keyword arg ...", once. The keyword part may
+    use fnmatch globs (look*); an arg of * matches anything, numeric args
+    compare within tol and object args compare exactly. goto patterns
+    separate the two coordinates with a space, no comma.
+
+    Returns the keywords it can match, empty if none, and its args per
+    _pattern_arg. A keyword counts if the glob matches it, it takes as many
+    args, and each arg but * fits its slot: a finite number or an identifier."""
+    glob, *texts = action.split()
+    args = tuple(map(_pattern_arg, texts))
+    exact = glob in STATEMENT_SCHEMAS  # then fnmatch need not compile the glob
+    return frozenset(
+        kw for kw, schema in STATEMENT_SCHEMAS.items()
+        if len(schema) == len(args) and (kw == glob if exact else fnmatch.fnmatchcase(kw, glob))
+        and all(
+            arg is None or (type(arg) is float if slot == "number" else IDENTIFIER_RE.match(str(arg)))
+            for arg, slot in zip(args, schema)
+        )
+    ), args
+
+
 def _match_action(pattern: str, record, tol: float) -> bool:
-    """Match one trace record against "keyword arg ...". The keyword part may
-    use * globs (look*); an arg of * matches anything; numeric args compare
-    within tol; object args compare exactly. goto patterns separate the two
-    coordinates with a space, no comma."""
-    parts = pattern.split()
-    statement = record.statement
-    if not fnmatch.fnmatchcase(statement.keyword, parts[0]):
+    """Match one trace record against an action pattern (see _action_pattern)."""
+    keywords, args = _action_pattern(pattern)
+    if record.statement.keyword not in keywords:
         return False
-    arg_patterns = parts[1:]
-    if len(arg_patterns) != len(statement.args):
-        return False
-    for arg_pattern, arg in zip(arg_patterns, statement.args):
-        if arg_pattern == "*":
-            continue
-        if isinstance(arg, Number):
-            try:
-                wanted = float(arg_pattern)
-            except ValueError:
-                return False
-            if abs(arg.value - wanted) > tol:
-                return False
-        elif arg_pattern != arg:
+    for want, arg in zip(args, record.statement.args):
+        if want is not None and (abs(arg.value - want) > tol if isinstance(arg, Number) else arg != want):
             return False
     return True
 

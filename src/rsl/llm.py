@@ -162,9 +162,10 @@ def complete(
     choice. Transient transport failures are retried up to max_retries with
     exponential backoff; authentication errors and rejected requests are
     never retried."""
-    if not messages or messages[0].role != "system":
+    roles = [m.role for m in messages]
+    if roles[:1] != ["system"]:
         raise ValueError("messages must start with a system message")
-    if any(m.role == "system" for m in messages[1:]):
+    if "system" in roles[1:]:
         raise ValueError("messages must contain exactly one system message")
     if transport is None:
         transport = HttpTransport()

@@ -206,9 +206,10 @@ def check(source: str) -> ParseOutcome:
     lexed = lex(source)
     parsed = parse(lexed.tokens, source)
     semantic = validate(parsed.program)
+    if not (lexed.diagnostics or parsed.diagnostics or semantic):
+        object.__setattr__(parsed.program, "verified", True)
+        return parsed
     merged = sorted(
         [*lexed.diagnostics, *parsed.diagnostics, *semantic], key=source_order
     )
-    if not merged:
-        object.__setattr__(parsed.program, "verified", True)
     return ParseOutcome(parsed.program, tuple(merged))

@@ -126,6 +126,8 @@ class RobotState:
 
 
 RobotState.__setattr__ = RobotState.__delattr__ = refuse_mutation
+# The state every run starts from unless given one; shared, as it cannot change.
+_START = RobotState()
 
 
 class SimError(Exception):
@@ -261,7 +263,7 @@ def run(program: Program, world: World, initial: RobotState | None = None) -> Ro
     The records are collected in a list and each one is the pose the next
     statement starts from, so the trace tuple and the returned state are
     built once and the cost stays linear in the program's length."""
-    pose: RobotState | TraceRecord = initial if initial is not None else RobotState()
+    pose: RobotState | TraceRecord = _START if initial is None else initial
     records = list(pose.trace)
     for statement in program.statements:
         try:

@@ -1,18 +1,21 @@
 """Shared test helpers: seeded program fuzzers, an independent brute-force
 kinematics oracle, the character-at-a-time scanner the lexer replaced, the
-parser as it was before it built statements and spans unchecked, and the
-per-record json.dumps trace export that trace_to_jsonl replaced.
+parser as it was before it built statements and spans unchecked, the
+per-record json.dumps trace export that trace_to_jsonl replaced, and the
+accuracy matcher that parsed its action pattern on every trace record.
 
 The oracle deliberately re-implements execution from scratch (complex-number
 arithmetic over plain tuples) so simulator tests compare two genuinely
-different derivations of the same semantics. The old scanner, the old parser
-and the old trace export are kept as the references for the differential
-tests of rsl.lexer, rsl.parser and rsl.sim.trace_to_jsonl.
+different derivations of the same semantics. The old scanner, the old parser,
+the old trace export and the old matcher are kept as the references for the
+differential tests of rsl.lexer, rsl.parser, rsl.sim.trace_to_jsonl and the
+accuracy predicates of rsl.harness.
 """
 
 from __future__ import annotations
 
 import cmath
+import fnmatch
 import json
 import math
 import random
@@ -532,3 +535,28 @@ def reference_trace_to_jsonl(state: RobotState) -> str:
             )
         )
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_match_action(pattern: str, record, tol: float) -> bool:
+    """The accuracy matcher before patterns were parsed once: split, glob the
+    keyword and run float() on the args for every trace record."""
+    parts = pattern.split()
+    statement = record.statement
+    if not fnmatch.fnmatchcase(statement.keyword, parts[0]):
+        return False
+    arg_patterns = parts[1:]
+    if len(arg_patterns) != len(statement.args):
+        return False
+    for arg_pattern, arg in zip(arg_patterns, statement.args):
+        if arg_pattern == "*":
+            continue
+        if isinstance(arg, Number):
+            try:
+                wanted = float(arg_pattern)
+            except ValueError:
+                return False
+            if abs(arg.value - wanted) > tol:
+                return False
+        elif arg_pattern != arg:
+            return False
+    return True

@@ -19,6 +19,7 @@ from rsl import (
     RobotState,
     SimError,
     SkillBinding,
+    SkillManifest,
     Statement,
     World,
     check,
@@ -174,6 +175,20 @@ def test_malformed_json_rejected():
 def test_hand_built_binding_rejected(binding, message):
     with pytest.raises(ManifestError, match=message):
         SkillBinding(*binding)
+
+
+def test_hand_built_manifest_files_each_binding_under_its_keyword():
+    bindings = dict(default_manifest().bindings)
+    bindings["forward"] = SkillBinding("grasp", "robot_interface", "grasp", ("object",))
+    with pytest.raises(ManifestError, match="^binding for 'forward' is for keyword 'grasp'$"):
+        SkillManifest(bindings)
+
+
+def test_hand_built_manifest_needs_every_keyword():
+    bindings = dict(default_manifest().bindings)
+    del bindings["grasp"], bindings["goto"]
+    with pytest.raises(ManifestError, match="^manifest is missing bindings for: goto, grasp$"):
+        SkillManifest(bindings)
 
 
 def test_hand_built_binding_keeps_params_as_a_tuple():

@@ -1,11 +1,14 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rsl
 
@@ -13,11 +16,14 @@ from rsl import (
     DatasetError,
     FailFirstTransport,
     ModelConfig,
+    Number,
     OracleTransport,
     RobotState,
     ScriptedTransport,
+    SimError,
     TaskExpectation,
     UnknownObject,
+    World,
     check,
     default_world,
     evaluate,
@@ -29,7 +35,10 @@ from rsl import (
     report_to_json,
     run,
 )
-from rsl.harness import GROUP_SIZES, _load_oracle_programs
+from rsl.harness import GROUP_SIZES, _load_oracle_programs, _match_action
+from rsl.syntax import IDENTIFIER, render_program
+
+from support import KEYWORD_LIST, random_program, reference_match_action
 
 CONFIG = ModelConfig(base_url="http://offline.invalid", model_name="offline")
 
@@ -167,6 +176,24 @@ BAD_PREDICATES = {
         {"kind": "single_forward_in", "min": 0, "max": 1, "min_exclusive": "yes"},
         "task s01: single_forward_in predicate field 'min_exclusive' must be a boolean",
     ),
+    # Action patterns no statement can match.
+    "action-nan": (
+        {"kind": "sequence", "actions": ["forward nan"]},
+        "task s01: sequence predicate action 'forward nan' can match no statement",
+    ),
+    "action-NaN": ({"kind": "sequence", "actions": ["forward NaN"]}, "action 'forward NaN'"),
+    "action-inf": (
+        {"kind": "subsequence", "actions": ["perceive", "turnleft inf"]},
+        "subsequence predicate action 'turnleft inf' can match no statement",
+    ),
+    "action-misspelt": ({"kind": "sequence", "actions": ["fowrard 3"]}, "action 'fowrard 3'"),
+    "action-no-args": ({"kind": "sequence", "actions": ["forward"]}, "action 'forward'"),
+    "action-extra-arg": ({"kind": "sequence", "actions": ["forward 3 4"]}, "action 'forward 3 4'"),
+    "action-object-for-number": (
+        {"kind": "sequence", "actions": ["forward cup"]}, "action 'forward cup'",
+    ),
+    "action-number-for-object": ({"kind": "sequence", "actions": ["grasp 5"]}, "action 'grasp 5'"),
+    "action-comma": ({"kind": "sequence", "actions": ["goto 1, 2"]}, "action 'goto 1, 2'"),
 }
 # Each mistake in a dataset, and a pattern its error matches.
 BAD_DATASETS = {
@@ -417,6 +444,91 @@ def test_accuracy_wildcard_args():
         trace_state("turnright 2.2; lookup 0.4;"), expectation
     )
     assert not evaluate_accuracy(trace_state("turnright 2.2;"), expectation)
+
+
+def test_accuracy_nan_argument_matches_no_number():
+    # "* nan" can match an object named nan, so it loads; no number equals it.
+    expectation = TaskExpectation(({"kind": "sequence", "actions": ["* nan"]},))
+    assert not evaluate_accuracy(trace_state("forward 3;"), expectation)
+
+
+@st.composite
+def action_globs(draw):
+    """A keyword, misspelt or not, with some letters turned into globs."""
+    keyword = draw(st.sampled_from([*KEYWORD_LIST, "fowrard", "look", "move"]))
+    if draw(st.booleans()):
+        return keyword
+    return "".join(
+        draw(st.sampled_from([ch, ch, "?", "*", f"[{ch}x]", "[a-m]", "[!o]"])) for ch in keyword
+    )
+
+
+_NUMERALS = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.floats(-12, 12).map(lambda v: f"{v:.2f}"),
+    st.sampled_from(["1e1", "+2", "2.50", "-0", "007", "1_0"]),
+)
+
+
+def _reads_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Names float() reads (nan, inf, infinity) are left out: the old matcher let
+# nan match any number, which test_accuracy_nan_argument_matches_no_number pins.
+_NAMES = st.one_of(
+    st.sampled_from(["cup", "door", "banana", "table"]),
+    st.from_regex(IDENTIFIER, fullmatch=True).filter(lambda t: not _reads_as_float(t)),
+)
+
+
+@st.composite
+def action_patterns(draw, trace):
+    """A pattern over any glob and args, or one made from a trace record so
+    that some patterns match."""
+    if trace and draw(st.booleans()):
+        statement = draw(st.sampled_from(trace)).statement
+        args = [
+            draw(st.sampled_from([
+                "*", arg.raw, repr(arg.value + 0.004), repr(arg.value + 2)
+            ])) if isinstance(arg, Number) else draw(st.sampled_from(["*", arg, arg + "x"]))
+            for arg in statement.args
+        ]
+        glob = draw(st.sampled_from([statement.keyword, statement.keyword[:3] + "*", "*"]))
+    else:
+        glob = draw(action_globs())
+        args = draw(st.lists(st.one_of(st.just("*"), _NUMERALS, _NAMES), max_size=3))
+    return " ".join([glob, *args])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-6, 0.01, 0.5]))
+def test_match_action_matches_reference(data, seed, tol):
+    rng = random.Random(seed)
+    oracle = sorted(_load_oracle_programs().values())
+    source = rng.choice(oracle) if rng.random() < 0.3 else render_program(random_program(rng))
+    outcome = check(source)
+    assert not outcome.diagnostics
+    names = {a for s in outcome.program.statements for a in s.args if isinstance(a, str)}
+    world = World({**dict.fromkeys(names, (1.0, 0.0)), **default_world().objects})
+    state = run(outcome.program, world)
+    trace = (state.state if isinstance(state, SimError) else state).trace
+    for pattern in data.draw(st.lists(action_patterns(trace), min_size=1, max_size=8)):
+        try:
+            TaskExpectation(({"kind": "subsequence", "actions": [pattern]},))
+            loads = True
+        except DatasetError:
+            loads = False
+        for record in trace:
+            # A pattern refused when loaded is one no statement can match.
+            matched = loads and _match_action(pattern, record, tol)
+            assert matched == reference_match_action(pattern, record, tol), (
+                pattern, record.statement,
+            )
 
 
 SERIAL_EVAL_PROBE = """

@@ -141,10 +141,11 @@ def test_empty_choices_is_protocol_error():
 
 
 def test_messages_must_start_with_single_system():
-    with pytest.raises(ValueError):
-        complete(CONFIG, [ChatMessage("user", "hi")], transport=CannedTransport({}))
+    for messages in ([], [ChatMessage("user", "hi")], [ChatMessage("user", "hi"), *msgs()]):
+        with pytest.raises(ValueError, match="^messages must start with a system message$"):
+            complete(CONFIG, messages, transport=CannedTransport({}))
     doubled = msgs("a") + [ChatMessage("system", "again")]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^messages must contain exactly one system message$"):
         complete(CONFIG, doubled, transport=CannedTransport({}))
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import rsl.parser as parser_mod
 from rsl import Category, Number, Statement, check, lex, parse, validate
+from rsl.diagnostics import source_order
 from rsl.syntax import STATEMENT_SCHEMAS, SourceSpan, render_program, render_statement
 
 from support import (
@@ -151,6 +152,32 @@ def test_check_diagnostics_sorted_by_position():
     out = check("goto 1;\n$x\nmove 2;")
     keys = [(d.span.line, d.span.col_start) for d in out.diagnostics]
     assert keys == sorted(keys)
+    # After a clean check: lexical, then syntactic, then semantic diagnostics
+    # are on lines 3 and 6, 2 and 5, and 1 and 4; only the merge orders them.
+    assert not check("forward 1; grasp cup;").diagnostics
+    out = check("forward -2;\nmove 1;\n$\nturnleft 0;\ngoto 1;\nFORWARD 1;")
+    assert [(d.span.line, d.category) for d in out.diagnostics] == [
+        (1, Category.PARAMETER), (2, Category.COMMAND), (3, Category.CHARACTER),
+        (4, Category.PARAMETER), (5, Category.QUANTITY), (6, Category.KEYWORD),
+    ]
+
+
+def test_clean_check_returns_the_merged_outcome():
+    rng = random.Random(1717)
+    for source in ["", "perceive;", *(random_gapped_source(rng) for _ in range(200))]:
+        out = check(source)
+        lexed = lex(source)
+        parsed = parse(lexed.tokens, source)
+        merged = sorted(
+            [*lexed.diagnostics, *parsed.diagnostics, *validate(parsed.program)], key=source_order
+        )
+        assert out.diagnostics == tuple(merged) == ()
+        assert out.program == parsed.program
+        assert out.program.source == source
+        assert [s.span for s in out.program.statements] == [
+            s.span for s in parsed.program.statements
+        ]
+        assert out.program.verified and not parsed.program.verified
 
 
 def test_statements_survive_lexical_recovery():
