@@ -41,7 +41,7 @@ from .orchestrator import (
     translate,
 )
 from .parser import check
-from .sim import SimError, default_world, load_world_file, run, trace_to_jsonl
+from .sim import SimError, TraceRecord, default_world, load_world_file, run, trace_to_jsonl
 from .syntax import render_program
 
 EXIT_OK = 0
@@ -169,13 +169,7 @@ def cmd_run(args) -> int:
                 "ok": not failed,
                 "error": str(result) if failed else None,
                 "error_kind": type(result).__name__ if failed else None,
-                "x": state.x,
-                "y": state.y,
-                "heading": state.heading,
-                "cam_pan": state.cam_pan,
-                "cam_tilt": state.cam_tilt,
-                "held": state.held,
-                "perceived": state.perceived,
+                **{name: getattr(state, name) for name in TraceRecord._fields[1:]},
                 "executed": len(state.trace),
                 "trace": trace_path,
             }

@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from keyword import iskeyword
+from types import MappingProxyType
+from typing import Mapping
 
 from .diagnostics import render
 from .parser import check
@@ -64,18 +66,24 @@ class SkillBinding:
 @dataclass(frozen=True)
 class SkillManifest:
     """A binding for every keyword, filed under that keyword. Every way of
-    building one checks this, or raises ManifestError, as generate trusts it."""
+    building one checks this, or raises ManifestError, as generate trusts it.
+    bindings is kept as a read-only copy, and a pickled one is checked anew."""
 
-    bindings: dict[str, SkillBinding]
+    bindings: Mapping[str, SkillBinding]
     preamble: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for keyword, binding in self.bindings.items():
+        bindings = MappingProxyType(dict(self.bindings))
+        for keyword, binding in bindings.items():
             if binding.keyword != keyword:
                 raise ManifestError(f"binding for {keyword!r} is for keyword {binding.keyword!r}")
-        missing = sorted(STATEMENT_SCHEMAS.keys() - self.bindings.keys())
+        missing = sorted(STATEMENT_SCHEMAS.keys() - bindings.keys())
         if missing:
             raise ManifestError(f"manifest is missing bindings for: {', '.join(missing)}")
+        object.__setattr__(self, "bindings", bindings)
+
+    def __reduce__(self):
+        return SkillManifest, (dict(self.bindings), self.preamble)
 
 
 def _reject_duplicate_keys(pairs):

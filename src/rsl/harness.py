@@ -21,31 +21,32 @@ import json
 import threading
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .diagnostics import render
 from .llm import ModelConfig, Transport, TransportError
 from .orchestrator import DEFAULT_MAX_PASSES, PromptParts, TranslationAborted, translate
 from .sim import RobotState, SimError, World, run
-from .syntax import IDENTIFIER_RE, STATEMENT_SCHEMAS, Number, finite_number
+from .syntax import IDENTIFIER_RE, KEYWORDS, STATEMENT_SCHEMAS, Number, finite_number
 
 GROUP_SIZES = {"simple": 6, "ambiguous": 4, "multi_step": 6, "complex": 9}
 TASK_COUNT = sum(GROUP_SIZES.values())
 
-# Every predicate kind, with the fields it needs.
+# Every predicate kind: the fields it needs, and those it may have.
 _PREDICATE_FIELDS = {
-    "sequence": ("actions",),
-    "subsequence": ("actions",),
-    "single_forward_in": ("min", "max"),
-    "total_rotation": ("min", "max"),
-    "looks": ("min_count",),
-    "only_keywords": ("keywords",),
-    "held": ("object",),
-    "perceived": (),
-    "pose": ("x", "y", "tol"),
+    "sequence": (("actions",), ("tol",)),
+    "subsequence": (("actions",), ("tol",)),
+    "single_forward_in": (("min", "max"), ("min_exclusive", "max_exclusive")),
+    "total_rotation": (("min", "max"), ()),
+    "looks": (("min_count",), ()),
+    "only_keywords": (("keywords",), ()),
+    "held": (("object",), ()),
+    "perceived": ((), ()),
+    "pose": (("x", "y", "tol"), ()),
 }
 # Every predicate field, required or optional: (what it must be, its test).
-_STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
+_STRINGS = ("a list of strings", lambda v: type(v) is tuple and all(type(s) is str for s in v))
 _FINITE = ("a finite number", finite_number)
 _FIELD_TYPES = {
     "actions": ("a list of non-blank strings", lambda v: _STRINGS[1](v) and all(map(str.strip, v))),
@@ -68,26 +69,42 @@ class DatasetError(ValueError):
 class TaskExpectation:
     """Declarative checks over the execution trace and end state. Every way
     of building one checks each predicate's kind and fields against
-    _PREDICATE_FIELDS and _FIELD_TYPES, and that each action pattern can
-    match some statement, or raises DatasetError, so evaluation trusts them."""
+    _PREDICATE_FIELDS and _FIELD_TYPES, that each keyword is one, and that
+    each action pattern can match some statement, or raises DatasetError, so
+    evaluation trusts them. Each predicate is kept as a read-only mapping,
+    its lists as tuples, and a pickled expectation is checked anew."""
 
-    predicates: tuple[dict, ...]
+    predicates: tuple[Mapping, ...]
 
     def __post_init__(self) -> None:
+        checked = []
         for pred in self.predicates:
-            if not isinstance(pred, dict) or "kind" not in pred:
+            if not isinstance(pred, (dict, MappingProxyType)) or "kind" not in pred:
                 raise DatasetError("predicate must be an object with a kind")
             kind = pred["kind"]
             if type(kind) is not str or kind not in _PREDICATE_FIELDS:
                 raise DatasetError(f"unknown predicate kind {kind!r}")
+            pred = {name: tuple(v) if type(v) is list else v for name, v in pred.items()}
+            needs, may = _PREDICATE_FIELDS[kind]
+            for name in pred:
+                if name != "kind" and name not in needs and name not in may:
+                    raise DatasetError(f"{kind} predicate does not take a field {name!r}")
             for name, (what, holds) in _FIELD_TYPES.items():
-                if name in _PREDICATE_FIELDS[kind] and name not in pred:
+                if name in needs and name not in pred:
                     raise DatasetError(f"{kind} predicate needs {name!r}")
                 if name in pred and not holds(pred[name]):
                     raise DatasetError(f"{kind} predicate field {name!r} must be {what}")
+            for keyword in pred.get("keywords", ()):
+                if keyword not in KEYWORDS:
+                    raise DatasetError(f"{kind} predicate keyword {keyword!r} is not a keyword")
             for action in pred.get("actions", ()):
                 if not _action_pattern(action)[0]:
                     raise DatasetError(f"{kind} predicate action {action!r} can match no statement")
+            checked.append(MappingProxyType(pred))
+        object.__setattr__(self, "predicates", tuple(checked))
+
+    def __reduce__(self):
+        return TaskExpectation, (tuple(map(dict, self.predicates)),)
 
 
 @dataclass(frozen=True)
@@ -207,17 +224,15 @@ def _match_action(pattern: str, record, tol: float) -> bool:
     return True
 
 
-def _holds(pred: dict, state: RobotState) -> bool:
+def _holds(pred: Mapping, state: RobotState) -> bool:
     kind = pred["kind"]
     tol = pred.get("tol", _DEFAULT_TOL)
     trace = state.trace
 
-    if kind == "sequence":
-        actions = pred["actions"]
-        return len(trace) == len(actions) and all(
-            _match_action(a, r, tol) for a, r in zip(actions, trace)
-        )
-    if kind == "subsequence":
+    if kind == "sequence" or kind == "subsequence":
+        # With as many actions as records, the scan can match action i only to record i.
+        if kind == "sequence" and len(pred["actions"]) != len(trace):
+            return False
         index = 0
         for action in pred["actions"]:
             while index < len(trace) and not _match_action(action, trace[index], tol):
@@ -347,29 +362,6 @@ class EvalReport:
         return self.accurate_count / self.total
 
 
-def _evaluate_one(
-    task: TaskRecord,
-    config: ModelConfig,
-    parts_template: PromptParts,
-    world: World,
-    max_passes: int,
-    transport: Transport | None,
-) -> TaskResult:
-    parts = replace(parts_template, task=task.text)
-    try:
-        outcome = translate(parts, config, max_passes, transport=transport)
-    except TranslationAborted as err:
-        return TaskResult(
-            task.id, task.group, False, False, max_passes, (), error=str(err)
-        )
-    history = tuple(
-        tuple(render(d) for d in diagnostics) for _, diagnostics in outcome.raw_history
-    )
-    success = outcome.verified and len(outcome.program.statements) >= 1
-    accurate = success and evaluate_accuracy(run(outcome.program, world), task.expectation)
-    return TaskResult(task.id, task.group, success, accurate, outcome.passes, history)
-
-
 def evaluate(
     tasks: Sequence[TaskRecord],
     config: ModelConfig,
@@ -388,7 +380,17 @@ def evaluate(
         raise ValueError("parallelism must be >= 1")
 
     def worker(task: TaskRecord) -> TaskResult:
-        return _evaluate_one(task, config, parts_template, world, max_passes, transport)
+        parts = replace(parts_template, task=task.text)
+        try:
+            outcome = translate(parts, config, max_passes, transport=transport)
+        except TranslationAborted as err:
+            return TaskResult(task.id, task.group, False, False, max_passes, (), error=str(err))
+        history = tuple(
+            tuple(render(d) for d in diagnostics) for _, diagnostics in outcome.raw_history
+        )
+        success = outcome.verified and len(outcome.program.statements) >= 1
+        accurate = success and evaluate_accuracy(run(outcome.program, world), task.expectation)
+        return TaskResult(task.id, task.group, success, accurate, outcome.passes, history)
 
     if parallelism == 1:
         results = [worker(task) for task in tasks]

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .diagnostics import Category, Diagnostic, source_order
 from .lexer import lex
 from .syntax import (
-    DUMMY_SPAN,
     Number,
     Program,
     SourceSpan,
@@ -56,13 +55,10 @@ class ParseOutcome:
 
 
 class TokenStream:
-    """Forward-only cursor over a lexed token list (END-terminated)."""
+    """Forward-only cursor over lex()'s tokens, a tuple that ends in END."""
 
-    def __init__(self, tokens) -> None:
-        toks = list(tokens)
-        if not toks or toks[-1].kind is not _END:
-            toks.append(Token(_END, "", DUMMY_SPAN))
-        self._tokens = toks
+    def __init__(self, tokens: tuple[Token, ...]) -> None:
+        self._tokens = tokens
         self._pos = 0
 
     @property
@@ -83,7 +79,7 @@ class TokenStream:
         self._pos += count
 
 
-def _statement_text(consumed: list[Token], source: str, lines: list[str]) -> str:
+def _statement_text(consumed: tuple[Token, ...], source: str, lines: list[str]) -> str:
     """Source text of a statement, for missing-terminator diagnostics.
 
     Prefers the exact slice of the source lines; falls back to re-joining
@@ -151,10 +147,12 @@ def _statement_diagnostic(
         return _new(Diagnostic, (category, span, _statement_text(consumed, source, lines)))
 
 
-def parse(tokens, source: str = "") -> ParseOutcome:
-    """Parse a lexed token stream. Expects tokens from lex(); callers gate on
-    lexical diagnostics themselves (check() does). The optional source lets
-    missing-terminator diagnostics quote the statement verbatim."""
+def parse(tokens: tuple[Token, ...], source: str = "") -> ParseOutcome:
+    """Parse a lexed token stream. Takes lex()'s tokens as they are: a tuple
+    that ends in END, where every KEYWORD token carries its keyword and every
+    NUMBER token its value. Callers gate on lexical diagnostics themselves
+    (check() does). The optional source lets missing-terminator diagnostics
+    quote the statement verbatim."""
     stream = TokenStream(tokens)
     tokens = stream._tokens
     kinds = [tok.kind for tok in tokens]
@@ -168,13 +166,12 @@ def parse(tokens, source: str = "") -> ParseOutcome:
             continue
         # Match, else diagnose: a statement whose tokens are all of the
         # expected kinds is taken in one step.
-        keyword = tok.keyword or tok.text
+        keyword = tok.keyword
         end = first + len(expected := STATEMENT_KINDS[keyword])
         if kinds[first + 1 : end + 1] == expected:
             args = ()
             for t in tokens[first + 1 : end : 2]:
-                value = 0.0 if t.value is None else t.value
-                args += (_new(Number, (value, t.text)) if t.kind is _NUMBER else t.text,)
+                args += (_new(Number, (t.value, t.text)) if t.kind is _NUMBER else t.text,)
             statements.append(trusted_statement(keyword, args, _statement_span(tok, tokens[end])))
             stream.skip(end + 1 - first)
             continue

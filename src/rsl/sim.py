@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .syntax import (
     IDENTIFIER_RE, Program, Statement, acyclic, finite_number, refuse_mutation, render_statement
@@ -51,14 +52,15 @@ class World:
     """Named objects at fixed coordinates plus the manipulation geometry.
     Every way of building one checks it, or raises WorldError: names are
     identifiers, coordinates a pair of finite numbers (a list or a tuple,
-    kept as a tuple), and grasp_range and reach_offset finite, not negative."""
+    kept as a tuple), and grasp_range and reach_offset finite, not negative.
+    objects is kept read-only, and a pickled World is built and checked anew."""
 
-    objects: dict[str, tuple[float, float]]
+    objects: Mapping[str, tuple[float, float]]
     grasp_range: float = 0.5
     reach_offset: float = 0.5
 
     def __post_init__(self) -> None:
-        if not isinstance(self.objects, dict):
+        if not isinstance(self.objects, (dict, MappingProxyType)):
             raise WorldError("\"objects\" must be an object")
         for name, coords in self.objects.items():
             if type(name) is not str or not IDENTIFIER_RE.match(name):
@@ -70,7 +72,11 @@ class World:
             value = getattr(self, label)
             if not finite_number(value) or value < 0:
                 raise WorldError(f"{label} must be a finite non-negative number")
-        object.__setattr__(self, "objects", {name: tuple(c) for name, c in self.objects.items()})
+        objects = {name: tuple(c) for name, c in self.objects.items()}
+        object.__setattr__(self, "objects", MappingProxyType(objects))
+
+    def __reduce__(self):
+        return World, (dict(self.objects), self.grasp_range, self.reach_offset)
 
 
 def load_world(text: str) -> World:

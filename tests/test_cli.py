@@ -139,6 +139,21 @@ def test_run_json_reports_unknown_object(tmp_path, capsys):
     assert len(Path(doc["trace"]).read_text(encoding="utf-8").splitlines()) == 2
 
 
+def test_run_json_keys_and_pose(tmp_path, capsys):
+    source = write(tmp_path, "go.rsl", "goto 3, 4; lookleft 0.5; perceive;")
+    assert main(["run", "--json", source]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == [
+        "ok", "error", "error_kind", "x", "y", "heading", "cam_pan", "cam_tilt", "held",
+        "perceived", "executed", "trace",
+    ]
+    assert doc == {
+        "ok": True, "error": None, "error_kind": None, "x": 3.0, "y": 4.0, "heading": 0.0,
+        "cam_pan": 0.5, "cam_tilt": 0.0, "held": None, "perceived": True, "executed": 3,
+        "trace": source + ".trace.jsonl",
+    }
+
+
 def test_run_rejects_unverified_source(tmp_path, capsys):
     source = write(tmp_path, "bad.rsl", "forward 0;")
     assert main(["run", source]) == 1

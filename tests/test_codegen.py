@@ -1,5 +1,7 @@
+import copy
 import json
 import keyword
+import pickle
 import random
 import sys
 import types
@@ -189,6 +191,40 @@ def test_hand_built_manifest_needs_every_keyword():
     del bindings["grasp"], bindings["goto"]
     with pytest.raises(ManifestError, match="^manifest is missing bindings for: goto, grasp$"):
         SkillManifest(bindings)
+
+
+def test_manifest_bindings_cannot_change_after_the_check():
+    manifest = default_manifest()
+    with pytest.raises(TypeError):
+        manifest.bindings["forward"] = SkillBinding("grasp", "robot_interface", "grasp", ("object",))
+    with pytest.raises(TypeError):
+        del manifest.bindings["perceive"]
+    emitted = generate(check("forward 1; perceive;").program, manifest)
+    assert emitted.endswith("\nforward(1)\nperceive()\n")
+
+
+def test_manifest_keeps_its_own_copy_of_the_bindings():
+    bindings = dict(default_manifest().bindings)
+    manifest = SkillManifest(bindings)
+    del bindings["perceive"]
+    assert generate(check("perceive;").program, manifest).endswith("\nperceive()\n")
+
+
+def test_manifest_survives_replace_pickle_and_deepcopy():
+    manifest = replace(default_manifest(), preamble=("# robot",))
+    program = check("goto 1, 2; grasp cup; perceive;").program
+    copies = [pickle.loads(pickle.dumps(manifest)), copy.deepcopy(manifest), replace(manifest)]
+    for copied in copies:
+        assert copied == manifest
+        assert generate(program, copied) == generate(program, manifest)
+        with pytest.raises(TypeError):
+            del copied.bindings["perceive"]
+
+
+def test_unpickled_manifest_is_checked_again():
+    tampered = pickle.dumps(default_manifest()).replace(b"lookleft", b"lookLeft")
+    with pytest.raises(ManifestError, match="missing bindings for: lookleft$"):
+        pickle.loads(tampered)
 
 
 def test_hand_built_binding_keeps_params_as_a_tuple():

@@ -1,9 +1,12 @@
+import copy
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -175,6 +178,25 @@ BAD_PREDICATES = {
     "exclusive-string": (
         {"kind": "single_forward_in", "min": 0, "max": 1, "min_exclusive": "yes"},
         "task s01: single_forward_in predicate field 'min_exclusive' must be a boolean",
+    ),
+    # Fields the kind does not read, and keywords that are not keywords.
+    "field-misspelt": (
+        {"kind": "single_forward_in", "min": 1, "max": 2, "max_exclusve": True},
+        "task s01: single_forward_in predicate does not take a field 'max_exclusve'",
+    ),
+    "tol-on-held": (
+        {"kind": "held", "object": "cup", "tol": 5}, "held predicate does not take a field 'tol'",
+    ),
+    "exclusive-on-total-rotation": (
+        {"kind": "total_rotation", "min": 0, "max": 1, "min_exclusive": True},
+        "total_rotation predicate does not take a field 'min_exclusive'",
+    ),
+    "keyword-case-variant": (
+        {"kind": "only_keywords", "keywords": ["Forward"]},
+        "task s01: only_keywords predicate keyword 'Forward' is not a keyword",
+    ),
+    "keyword-unknown": (
+        {"kind": "only_keywords", "keywords": ["forward", "move"]}, "keyword 'move' is not",
     ),
     # Action patterns no statement can match.
     "action-nan": (
@@ -452,6 +474,34 @@ def test_accuracy_nan_argument_matches_no_number():
     assert not evaluate_accuracy(trace_state("forward 3;"), expectation)
 
 
+def test_expectation_cannot_change_after_the_check():
+    looks = {"kind": "looks", "min_count": 1}
+    expectation = TaskExpectation((looks, {"kind": "sequence", "actions": ["lookup 1"]}))
+    looks["min_count"] = None
+    with pytest.raises(TypeError):
+        expectation.predicates[0]["min_count"] = None
+    with pytest.raises(AttributeError):
+        expectation.predicates[1]["actions"].append("perceive")
+    assert evaluate_accuracy(trace_state("lookup 1;"), expectation)
+
+
+def test_expectation_survives_replace_pickle_and_deepcopy():
+    for task in load_default_tasks():
+        expectation = task.expectation
+        for copied in (
+            pickle.loads(pickle.dumps(expectation)), copy.deepcopy(expectation),
+            replace(expectation), TaskExpectation(expectation.predicates),
+        ):
+            assert copied == expectation
+
+
+def test_unpickled_expectation_is_checked_again():
+    looks = TaskExpectation(({"kind": "looks", "min_count": 1},))
+    tampered = pickle.dumps(looks).replace(b"min_count", b"max_count")
+    with pytest.raises(DatasetError, match="looks predicate does not take a field 'max_count'"):
+        pickle.loads(tampered)
+
+
 @st.composite
 def action_globs(draw):
     """A keyword, misspelt or not, with some letters turned into globs."""
@@ -505,9 +555,9 @@ def action_patterns(draw, trace):
     return " ".join([glob, *args])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.data(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-6, 0.01, 0.5]))
-def test_match_action_matches_reference(data, seed, tol):
+def checked_run(seed):
+    """The state a checked program, an oracle one or a random one, reaches in
+    a world that holds every object it names: the error's state on failure."""
     rng = random.Random(seed)
     oracle = sorted(_load_oracle_programs().values())
     source = rng.choice(oracle) if rng.random() < 0.3 else render_program(random_program(rng))
@@ -516,19 +566,48 @@ def test_match_action_matches_reference(data, seed, tol):
     names = {a for s in outcome.program.statements for a in s.args if isinstance(a, str)}
     world = World({**dict.fromkeys(names, (1.0, 0.0)), **default_world().objects})
     state = run(outcome.program, world)
-    trace = (state.state if isinstance(state, SimError) else state).trace
+    return state.state if isinstance(state, SimError) else state
+
+
+def pattern_loads(pattern):
+    try:
+        TaskExpectation(({"kind": "subsequence", "actions": [pattern]},))
+    except DatasetError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-6, 0.01, 0.5]))
+def test_match_action_matches_reference(data, seed, tol):
+    trace = checked_run(seed).trace
     for pattern in data.draw(st.lists(action_patterns(trace), min_size=1, max_size=8)):
-        try:
-            TaskExpectation(({"kind": "subsequence", "actions": [pattern]},))
-            loads = True
-        except DatasetError:
-            loads = False
+        loads = pattern_loads(pattern)
         for record in trace:
             # A pattern refused when loaded is one no statement can match.
             matched = loads and _match_action(pattern, record, tol)
             assert matched == reference_match_action(pattern, record, tol), (
                 pattern, record.statement,
             )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-6, 0.01, 0.5]))
+def test_sequence_holds_when_each_record_matches_its_own_action(data, seed, tol):
+    state = checked_run(seed)
+    trace = state.trace
+    # Mostly one pattern drawn from each record, so that some sequences hold.
+    actions = [data.draw(action_patterns((record,))) for record in trace]
+    actions = data.draw(st.sampled_from([
+        actions, actions[1:], actions + [data.draw(action_patterns(trace))],
+        data.draw(st.lists(action_patterns(trace), max_size=len(trace) + 1)),
+    ]))
+    actions = [a for a in actions if pattern_loads(a)]
+    expectation = TaskExpectation(({"kind": "sequence", "actions": actions, "tol": tol},))
+    expected = len(actions) == len(trace) and all(
+        reference_match_action(a, r, tol) for a, r in zip(actions, trace)
+    )
+    assert evaluate_accuracy(state, expectation) == expected, (actions, trace)
 
 
 SERIAL_EVAL_PROBE = """

@@ -1,8 +1,11 @@
+import copy
 import gc
 import itertools
 import json
 import math
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +26,7 @@ from rsl import (
     check,
     compose_feedback,
     default_manifest,
+    default_world,
     generate,
     load_world,
     load_world_file,
@@ -316,6 +320,32 @@ def test_hand_built_world_accepts_int_coordinates():
 
 def test_world_keeps_list_coordinates_as_a_tuple():
     assert World({"a": [1.5, -2]}, 0, 0).objects["a"] == (1.5, -2)
+
+
+def test_world_objects_cannot_change_after_the_check():
+    world = default_world()
+    with pytest.raises(TypeError):
+        world.objects["ghost"] = ("a", "b")
+    assert isinstance(run(check("approach ghost;").program, world), UnknownObject)
+    objects = {"cup": (1.0, 0.0)}
+    world = World(objects)
+    objects["ghost"] = ("a", "b")
+    assert isinstance(run(check("approach ghost;").program, world), UnknownObject)
+
+
+def test_world_survives_replace_pickle_and_deepcopy():
+    world = World({"box": [1.0, 0.5]}, 0.25, 0.75)
+    copies = [pickle.loads(pickle.dumps(world)), copy.deepcopy(world), replace(world)]
+    for copied in copies:
+        assert copied == world and copied.objects["box"] == (1.0, 0.5)
+        with pytest.raises(TypeError):
+            copied.objects["box"] = (0.0, 0.0)
+
+
+def test_unpickled_world_is_checked_again():
+    tampered = pickle.dumps(World({"box": (1.0, 0.5)})).replace(b"box", b"9ox")
+    with pytest.raises(WorldError, match="'9ox' is not a valid identifier"):
+        pickle.loads(tampered)
 
 
 @pytest.mark.parametrize("name, content", [("missing.json", None), ("latin1.json", b"\xff"), ("truncated.json", b"{")])
