@@ -42,7 +42,7 @@ from .orchestrator import (
 )
 from .parser import check
 from .sim import SimError, TraceRecord, default_world, load_world_file, run, trace_to_jsonl
-from .syntax import render_program
+from .syntax import json_document, read_input, render_program
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -51,15 +51,6 @@ EXIT_TRANSPORT = 3
 
 # Offline transports are deterministic; retrying them is pointless.
 _OFFLINE_CONFIG = dict(base_url="http://offline.invalid", api_key="offline", max_retries=0)
-
-
-def _read_source(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise OSError(f"cannot read {path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path} is not UTF-8: {err}") from err
 
 
 def _print_json(doc) -> None:
@@ -107,19 +98,19 @@ def _make_backend(args) -> tuple[ModelConfig, object]:
     # scripted
     if not args.responses:
         raise ValueError("--backend scripted requires --responses FILE")
-    try:
-        responses = json.loads(Path(args.responses).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as err:
-        raise ValueError(f"cannot load responses {args.responses}: {err}") from err
+    responses = read_input(
+        args.responses, ValueError, "responses",
+        lambda text: json_document(text, ValueError, "responses"),
+    )
     if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
         raise ValueError(f"responses file {args.responses} must be a JSON list of strings")
     return config, ScriptedTransport(responses)
 
 
-def cmd_check(args) -> int:
-    source = _read_source(args.source)
-    outcome = check(source)
-    if args.json:
+def _report(outcome, as_json: bool) -> None:
+    """check's verdict: with --json the document on stdout, else each
+    diagnostic rendered on stderr."""
+    if as_json:
         _print_json(
             {
                 "ok": not outcome.diagnostics,
@@ -129,15 +120,19 @@ def cmd_check(args) -> int:
         )
     else:
         _print_diagnostics(outcome.diagnostics)
+
+
+def cmd_check(args) -> int:
+    outcome = check(read_input(args.source, ValueError, "source"))
+    _report(outcome, args.json)
     return EXIT_DOMAIN if outcome.diagnostics else EXIT_OK
 
 
 def cmd_compile(args) -> int:
-    source = _read_source(args.source)
+    outcome = check(read_input(args.source, ValueError, "source"))
     manifest = load_manifest_file(args.manifest) if args.manifest else default_manifest()
-    outcome = check(source)
     if outcome.diagnostics:
-        _print_diagnostics(outcome.diagnostics)
+        _report(outcome, args.json)
         return EXIT_DOMAIN
     emitted = generate(outcome.program, manifest)
     if args.output:
@@ -152,11 +147,10 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    source = _read_source(args.source)
+    outcome = check(read_input(args.source, ValueError, "source"))
     world = load_world_file(args.world) if args.world else default_world()
-    outcome = check(source)
     if outcome.diagnostics:
-        _print_diagnostics(outcome.diagnostics)
+        _report(outcome, args.json)
         return EXIT_DOMAIN
     result = run(outcome.program, world)
     failed = isinstance(result, SimError)

@@ -18,7 +18,9 @@ from typing import Mapping
 
 from .diagnostics import render
 from .parser import check
-from .syntax import IDENTIFIER_RE, Number, Program, STATEMENT_SCHEMAS, render_program
+from .syntax import (
+    IDENTIFIER_RE, Number, Program, STATEMENT_SCHEMAS, json_document, read_input, render_program
+)
 
 
 class ManifestError(ValueError):
@@ -65,7 +67,8 @@ class SkillBinding:
 
 @dataclass(frozen=True)
 class SkillManifest:
-    """A binding for every keyword, filed under that keyword. Every way of
+    """A binding for every keyword, filed under that keyword, and a preamble
+    of lines (a list or a tuple of strings, kept as a tuple). Every way of
     building one checks this, or raises ManifestError, as generate trusts it.
     bindings is kept as a read-only copy, and a pickled one is checked anew."""
 
@@ -73,6 +76,9 @@ class SkillManifest:
     preamble: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        preamble = self.preamble
+        if type(preamble) not in (list, tuple) or not all(isinstance(p, str) for p in preamble):
+            raise ManifestError("preamble must be a list of strings")
         bindings = MappingProxyType(dict(self.bindings))
         for keyword, binding in bindings.items():
             if binding.keyword != keyword:
@@ -81,36 +87,19 @@ class SkillManifest:
         if missing:
             raise ManifestError(f"manifest is missing bindings for: {', '.join(missing)}")
         object.__setattr__(self, "bindings", bindings)
+        object.__setattr__(self, "preamble", tuple(preamble))
 
     def __reduce__(self):
         return SkillManifest, (dict(self.bindings), self.preamble)
-
-
-def _reject_duplicate_keys(pairs):
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ManifestError(f"duplicate key {key!r} in manifest")
-        obj[key] = value
-    return obj
 
 
 def load_manifest(text: str) -> SkillManifest:
     """Parse a manifest document into bindings, which check themselves (see
     SkillBinding). Rejects malformed JSON, a duplicate key, a document of
     the wrong shape and any missing keyword (naming the absentees)."""
-    try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except ManifestError:  # a duplicate key
-        raise
-    except ValueError as err:  # also an integer past the int-to-str digit limit
-        raise ManifestError(f"manifest is not valid JSON: {err}") from err
+    doc = json_document(text, ManifestError, "manifest")
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
-
-    preamble = doc.get("preamble", [])
-    if not isinstance(preamble, list) or not all(isinstance(p, str) for p in preamble):
-        raise ManifestError("preamble must be a list of strings")
 
     raw_bindings = doc.get("bindings")
     if not isinstance(raw_bindings, dict):
@@ -123,15 +112,11 @@ def load_manifest(text: str) -> SkillManifest:
         bindings[keyword] = SkillBinding(
             keyword, entry.get("module"), entry.get("function"), entry.get("params")
         )
-    return SkillManifest(bindings, tuple(preamble))
+    return SkillManifest(bindings, doc.get("preamble", ()))
 
 
 def load_manifest_file(path) -> SkillManifest:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_manifest(fh.read())
-    except (OSError, UnicodeDecodeError, ManifestError) as err:
-        raise ManifestError(f"cannot load manifest {path}: {err}") from err
+    return read_input(path, ManifestError, "manifest", load_manifest)
 
 
 def default_manifest() -> SkillManifest:

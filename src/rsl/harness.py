@@ -28,7 +28,9 @@ from .diagnostics import render
 from .llm import ModelConfig, Transport, TransportError
 from .orchestrator import DEFAULT_MAX_PASSES, PromptParts, TranslationAborted, translate
 from .sim import RobotState, SimError, World, run
-from .syntax import IDENTIFIER_RE, KEYWORDS, STATEMENT_SCHEMAS, Number, finite_number
+from .syntax import (
+    IDENTIFIER_RE, KEYWORDS, STATEMENT_SCHEMAS, Number, finite_number, json_document, read_input
+)
 
 GROUP_SIZES = {"simple": 6, "ambiguous": 4, "multi_step": 6, "complex": 9}
 TASK_COUNT = sum(GROUP_SIZES.values())
@@ -119,20 +121,11 @@ def load_tasks(path) -> list[TaskRecord]:
     """Load and validate the benchmark file: 25 unique tasks partitioned
     6 simple / 4 ambiguous / 6 multi_step / 9 complex. Every error names the
     file, and an error in a task names the task too."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, UnicodeDecodeError) as err:
-        raise DatasetError(f"cannot read dataset {path}: {err}") from err
-    except ValueError as err:  # also an integer past the int-to-str digit limit
-        raise DatasetError(f"dataset {path} is not valid JSON: {err}") from err
-    try:
-        return _task_records(raw)
-    except DatasetError as err:
-        raise DatasetError(f"dataset {path}: {err}") from err
+    return read_input(path, DatasetError, "dataset", _task_records)
 
 
-def _task_records(raw: object) -> list[TaskRecord]:
+def _task_records(text: str) -> list[TaskRecord]:
+    raw = json_document(text, DatasetError, "dataset")
     if not isinstance(raw, list):
         raise DatasetError("dataset must be a JSON list of tasks")
 

@@ -90,7 +90,7 @@ def _statement_text(consumed: tuple[Token, ...], source: str, lines: list[str]) 
     if not lines:  # lines as the lexer counts them; splitlines() breaks on "\r" too
         lines += source.split("\n")
     first, last = consumed[0], consumed[-1]
-    if first.span.line == last.span.line and first.span.line <= len(lines):
+    if source and first.span.line == last.span.line:
         line_text = lines[first.span.line - 1]
         return line_text[first.span.col_start - 1 : last.span.col_end]
     parts: list[str] = []

@@ -24,7 +24,6 @@ ValueError, never NaN or Infinity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -33,7 +32,8 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .syntax import (
-    IDENTIFIER_RE, Program, Statement, acyclic, finite_number, refuse_mutation, render_statement
+    IDENTIFIER_RE, Program, Statement, acyclic, finite_number, json_document, read_input,
+    refuse_mutation, render_statement,
 )
 
 # Slack for boundary grasps: an approach parks the robot exactly reach_offset
@@ -80,12 +80,9 @@ class World:
 
 
 def load_world(text: str) -> World:
-    try:
-        # Integers as floats: one past the float range reads as inf, which World
-        # rejects, and one past int's digit limit raises no ValueError here.
-        doc = json.loads(text, parse_int=float)
-    except json.JSONDecodeError as err:
-        raise WorldError(f"world is not valid JSON: {err}") from err
+    # Integers as floats: one past the float range reads as inf, which World
+    # rejects, and one past int's digit limit raises no ValueError here.
+    doc = json_document(text, WorldError, "world", parse_int=float)
     if not isinstance(doc, dict):
         raise WorldError("world must be a JSON object")
     geometry = {k: doc[k] for k in ("grasp_range", "reach_offset") if k in doc}
@@ -93,11 +90,7 @@ def load_world(text: str) -> World:
 
 
 def load_world_file(path) -> World:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_world(fh.read())
-    except (OSError, UnicodeDecodeError, WorldError) as err:
-        raise WorldError(f"cannot load world {path}: {err}") from err
+    return read_input(path, WorldError, "world", load_world)
 
 
 def default_world() -> World:

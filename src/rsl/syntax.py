@@ -8,12 +8,16 @@ The lexer makes a few tokens per statement, so the per-token types are cheap
 to build: SourceSpan, Token and Number are immutable named tuples, which also
 compare equal to plain tuples holding the same values. Statement and Program
 are slotted frozen dataclasses. None of them has a per-instance __dict__.
+
+Every input file a user names is read by read_input, and every JSON document
+by json_document, which refuses a key given twice in one object.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
+import json
 import re
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -57,6 +61,37 @@ IDENTIFIER_RE = re.compile(IDENTIFIER + r"\Z")
 def finite_number(value: object) -> bool:
     """An int or a float, not a bool, in the float range (math.isfinite fails on a huge int)."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def json_document(text: str, error: type[ValueError], what: str, **options):
+    """json.loads(text, **options), raising error("duplicate key 'k' in <what>")
+    for a key twice in one object, else error("<what> is not valid JSON: ...")."""
+    duplicates = []
+
+    def unique(pairs):
+        document = dict(pairs)
+        if len(document) < len(pairs):
+            seen = set()
+            duplicates.append(next(k for k, _ in pairs if k in seen or seen.add(k)))
+        return document
+
+    try:
+        document = json.loads(text, object_pairs_hook=unique, **options)
+    except ValueError as err:
+        raise error(f"{what} is not valid JSON: {err}") from err
+    if duplicates:
+        raise error(f"duplicate key {duplicates[0]!r} in {what}")
+    return document
+
+
+def read_input(path, error: type[ValueError], what: str, load=str):
+    """load(the file's UTF-8 text). Failing to open, decode or load it raises
+    error("cannot read <what> <path>: <reason>")."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            return load(file.read())
+    except (OSError, UnicodeDecodeError, error) as err:
+        raise error(f"cannot read {what} {path}: {err}") from err
 
 
 class SourceSpan(NamedTuple):

@@ -7,8 +7,6 @@ import json
 import random
 import time
 
-import pytest
-
 from rsl import (
     Category,
     ModelConfig,

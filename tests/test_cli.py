@@ -52,6 +52,17 @@ def test_check_json_output(tmp_path, capsys):
     assert doc["diagnostics"][0]["category"] == "Quantity"
 
 
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_compile_and_run_report_diagnostics_as_check_json_does(tmp_path, capsys, command):
+    path = write(tmp_path, "bad.rsl", "goto 1;")
+    assert main(["check", "--json", path]) == 1
+    expected = capsys.readouterr().out
+    assert main([command, "--json", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
 def test_compile_writes_output(tmp_path, capsys):
     source = write(tmp_path, "ok.rsl", "forward 1.5;\ngrasp cup;")
     out_path = tmp_path / "control.py"
@@ -376,14 +387,22 @@ def test_module_entry_point_exits_two_on_non_utf8_source(tmp_path):
     assert "Traceback" not in done.stderr
 
 
-# A --world, --manifest or --responses file that cannot be loaded is named
-# in the one error line. FILE holds the given bytes.
+# A --world, --manifest, --dataset or --responses file that cannot be loaded
+# is named in the one error line. FILE holds the given bytes.
 NAMED_FILE_MISTAKES = {
     "run-world-non-utf8": (["run", "OK", "--world", "FILE"], b"\xff"),
     "eval-world-non-utf8": (["eval", "--backend", "oracle", "--world", "FILE"], b"\xff"),
     "run-world-bad-json": (["run", "OK", "--world", "FILE"], b"{"),
     "compile-manifest-non-utf8": (["compile", "OK", "--manifest", "FILE"], b"\xff"),
     "compile-manifest-bad-json": (["compile", "OK", "--manifest", "FILE"], b"{"),
+    "run-world-duplicate-key": (
+        ["run", "OK", "--world", "FILE"], b'{"objects": {"cup": [1, 2], "cup": [3, 4]}}'
+    ),
+    "eval-dataset-non-utf8": (["eval", "--backend", "oracle", "--dataset", "FILE"], b"\xff"),
+    "eval-dataset-bad-json": (["eval", "--backend", "oracle", "--dataset", "FILE"], b"["),
+    "eval-dataset-duplicate-key": (
+        ["eval", "--backend", "oracle", "--dataset", "FILE"], b'[{"id": "s01", "id": "s02"}]'
+    ),
     "translate-responses-non-utf8": (
         ["translate", "t", "--backend", "scripted", "--responses", "FILE"], b"\xff"
     ),

@@ -193,6 +193,19 @@ def test_hand_built_manifest_needs_every_keyword():
         SkillManifest(bindings)
 
 
+def test_hand_built_manifest_checks_its_preamble_and_keeps_a_copy():
+    bindings = dict(default_manifest().bindings)
+    for preamble in ([5], "import robot", ["import robot", None]):
+        with pytest.raises(ManifestError, match="^preamble must be a list of strings$"):
+            SkillManifest(bindings, preamble)
+    lines = ["import robot"]
+    manifest = SkillManifest(bindings, lines)
+    lines.append("import os")
+    assert manifest.preamble == ("import robot",)
+    emitted = generate(check("perceive;").program, manifest)
+    assert emitted == "import robot\nfrom robot_interface import perceive\n\nperceive()\n"
+
+
 def test_manifest_bindings_cannot_change_after_the_check():
     manifest = default_manifest()
     with pytest.raises(TypeError):

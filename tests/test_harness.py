@@ -266,6 +266,25 @@ def test_non_utf8_dataset_rejected(tmp_path):
         load_tasks(path)
 
 
+# A key given twice in one object of a dataset: (dataset change, the text
+# the second key goes after, the key).
+DUPLICATED_KEYS = {
+    "task-entry": (lambda records: records, '"id": "s01"', "id"),
+    "predicate": (with_predicate({"kind": "held", "object": "plate"}), '"object": "plate"', "object"),
+}
+
+
+@pytest.mark.parametrize("change, first, key", DUPLICATED_KEYS.values(), ids=DUPLICATED_KEYS.keys())
+def test_dataset_with_a_duplicate_key_is_refused(tmp_path, change, first, key):
+    path = write_dataset(tmp_path, change(default_records()))
+    text = path.read_text(encoding="utf-8")
+    assert text.count(first) == 1
+    path.write_text(text.replace(first, f'{first}, "{key}": "x"'), encoding="utf-8")
+    message = f"^cannot read dataset {re.escape(str(path))}: duplicate key '{key}' in dataset$"
+    with pytest.raises(DatasetError, match=message):
+        load_tasks(path)
+
+
 @pytest.mark.parametrize("name, content", [
     ("missing.json", None), ("latin1.json", b"\xff"), ("truncated.json", b"["),
     ("not-a-list.json", b'{"tasks": []}'),

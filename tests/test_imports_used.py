@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module, so an
-edit that frees an import also removes it. __init__.py is left out: its
-imports are the package's public names."""
+"""Every name a module of the package or of its tests imports is used in
+that module, so an edit that frees an import also removes it. The package's
+__init__.py is left out: its imports are the package's public names."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,8 @@ import pytest
 import rsl
 
 PACKAGE = Path(rsl.__file__).parent
+MODULES = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+MODULES += Path(__file__).parent.glob("*.py")
 
 
 def unused_imports(source):
@@ -27,10 +29,7 @@ def unused_imports(source):
     return [name for name in imported if name not in read]
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.name,
-)
+@pytest.mark.parametrize("path", sorted(MODULES), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

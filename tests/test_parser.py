@@ -80,6 +80,26 @@ def test_semicolon_quote_ignores_non_newline_line_breaks():
             assert [d.token_text for d in semicolon] == ["turnleft 2"], repr(source)
 
 
+def test_semicolon_quote_without_source_rejoins_the_tokens():
+    for source in ("forward 1", "perceive;\nforward 1", "goto 1, 2 grasp cup"):
+        tokens = lex(source).tokens
+        assert parse(tokens).diagnostics == parse(tokens, source).diagnostics, source
+    assert parse(lex("forward 1").tokens).diagnostics[0].token_text == "forward 1"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_parse_quotes_single_spaced_statements_with_or_without_source(seed):
+    # Without a source, parse quotes an unterminated statement by joining its
+    # tokens, which gives its text when single spaces separate them.
+    rng = random.Random(seed)
+    rendered = [render_statement(random_statement(rng)) for _ in range(rng.randint(1, 6))]
+    rendered[0] = rendered[0][:-1]
+    source = rng.choice(("\n", " ")).join(r[:-1] if rng.random() < 0.5 else r for r in rendered)
+    tokens = lex(source).tokens
+    assert parse(tokens).diagnostics == parse(tokens, source).diagnostics, source
+
+
 def test_three_statement_program():
     out = parse_source("forward 2; turnleft 1.57; grasp cup;")
     assert not out.diagnostics

@@ -290,6 +290,11 @@ def test_world_loading_and_validation():
         load_world('{"objects": {}, "grasp_range": 1%s}' % ("0" * 400))
     with pytest.raises(WorldError):
         load_world('{"objects": {"cup": [1%s, 0]}}' % ("0" * 5000))
+    # JSON keeps the last of two equal keys; a world refuses them.
+    with pytest.raises(WorldError, match="^duplicate key 'cup' in world$"):
+        load_world('{"objects": {"cup": [1, 2], "cup": [3, 4]}}')
+    with pytest.raises(WorldError, match="^duplicate key 'grasp_range' in world$"):
+        load_world('{"objects": {}, "grasp_range": 0.4, "grasp_range": 9}')
 
 
 @pytest.mark.parametrize(
@@ -348,7 +353,10 @@ def test_unpickled_world_is_checked_again():
         pickle.loads(tampered)
 
 
-@pytest.mark.parametrize("name, content", [("missing.json", None), ("latin1.json", b"\xff"), ("truncated.json", b"{")])
+@pytest.mark.parametrize("name, content", [
+    ("missing.json", None), ("latin1.json", b"\xff"), ("truncated.json", b"{"),
+    pytest.param("duplicate.json", b'{"objects": {"cup": [1, 2], "cup": [3, 4]}}', id="duplicate.json"),
+])
 def test_world_file_errors_name_the_file(tmp_path, name, content):
     path = tmp_path / name
     if content is not None:
