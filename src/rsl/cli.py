@@ -19,27 +19,11 @@ from pathlib import Path
 from .codegen import default_manifest, generate, load_manifest_file
 from .diagnostics import render
 from .harness import (
-    FailFirstTransport,
-    OracleTransport,
-    evaluate,
-    load_default_tasks,
-    load_tasks,
-    report_to_csv,
+    FailFirstTransport, OracleTransport, evaluate, load_default_tasks, load_tasks, report_to_csv,
     report_to_json,
 )
-from .llm import (
-    ENV_API_KEY,
-    LlmError,
-    ModelConfig,
-    ScriptedTransport,
-    config_from_env,
-)
-from .orchestrator import (
-    DEFAULT_MAX_PASSES,
-    make_prompt_parts,
-    transcript_to_json,
-    translate,
-)
+from .llm import ENV_API_KEY, LlmError, ModelConfig, ScriptedTransport, config_from_env
+from .orchestrator import DEFAULT_MAX_PASSES, make_prompt_parts, transcript_to_json, translate
 from .parser import check
 from .sim import SimError, TraceRecord, default_world, load_world_file, run, trace_to_jsonl
 from .syntax import json_document, read_input, render_program

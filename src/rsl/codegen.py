@@ -9,9 +9,9 @@ a "robot_interface" module and emits Python-style calls.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from keyword import iskeyword
 from types import MappingProxyType
 from typing import Mapping
@@ -95,11 +95,14 @@ class SkillManifest:
 
 def load_manifest(text: str) -> SkillManifest:
     """Parse a manifest document into bindings, which check themselves (see
-    SkillBinding). Rejects malformed JSON, a duplicate key, a document of
-    the wrong shape and any missing keyword (naming the absentees)."""
+    SkillBinding). Rejects malformed JSON, a duplicate key, a key that is
+    not a manifest's or a binding's, a document of the wrong shape and any
+    missing keyword (naming the absentees)."""
     doc = json_document(text, ManifestError, "manifest")
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
+    if unknown := [key for key in doc if key not in ("preamble", "bindings")]:
+        raise ManifestError(f"manifest does not take a key {unknown[0]!r}")
 
     raw_bindings = doc.get("bindings")
     if not isinstance(raw_bindings, dict):
@@ -109,6 +112,8 @@ def load_manifest(text: str) -> SkillManifest:
     for keyword, entry in raw_bindings.items():
         if not isinstance(entry, dict):
             raise ManifestError(f"binding for {keyword!r} must be an object")
+        if unknown := [key for key in entry if key not in ("module", "function", "params")]:
+            raise ManifestError(f"binding for {keyword!r} does not take a key {unknown[0]!r}")
         bindings[keyword] = SkillBinding(
             keyword, entry.get("module"), entry.get("function"), entry.get("params")
         )
@@ -129,7 +134,7 @@ def _call_line(statement, binding: SkillBinding) -> str:
     rendered_args = []
     for arg in statement.args:
         if not isinstance(arg, Number):
-            rendered_args.append(json.dumps(arg))
+            rendered_args.append(encode_basestring_ascii(arg))  # json.dumps(arg)'s text
         elif "." not in arg.raw and arg.raw[0] in "-0" and arg.raw.strip("-0"):
             # Python rejects leading zeros on a nonzero integer: 007 -> 7, -02 -> -2.
             rendered_args.append(("-" if arg.raw[0] == "-" else "") + arg.raw.lstrip("-0"))
@@ -151,12 +156,12 @@ def generate(program: Program, manifest: SkillManifest) -> str:
         if diagnostics:
             raise GenerationError(f"program is not verified: {render(diagnostics[0])}")
 
+    bindings = manifest.bindings
+    calls = [_call_line(statement, bindings[statement.keyword]) for statement in program.statements]
     used: dict[str, set[str]] = {}
-    calls = []
-    for statement in program.statements:
-        binding = manifest.bindings[statement.keyword]
+    for keyword in {statement.keyword for statement in program.statements}:
+        binding = bindings[keyword]
         used.setdefault(binding.module_path, set()).add(binding.function_name)
-        calls.append(_call_line(statement, binding))
 
     lines = list(manifest.preamble)
     for module in sorted(used):

@@ -27,13 +27,7 @@ class Category(Enum):
 
 
 LEXICAL_CATEGORIES = frozenset(
-    {
-        Category.KEYWORD,
-        Category.IDENTIFIER,
-        Category.NUMBER,
-        Category.CHARACTER,
-        Category.COMMENT,
-    }
+    {Category.KEYWORD, Category.IDENTIFIER, Category.NUMBER, Category.CHARACTER, Category.COMMENT}
 )
 
 # Canonical sentence per category, keyed by the member's value: a plain str
@@ -100,14 +94,8 @@ def compose_feedback(diagnostics: Sequence[Diagnostic], program: str) -> str:
     """
     if not diagnostics:
         raise ValueError("feedback requires at least one diagnostic")
-    ordered = sorted(diagnostics, key=source_order)
-    lines = [
-        "The previously generated program was:",
-        program,
-        "",
-        "The compiler reported the following errors:",
-    ]
-    lines.extend(render(d) for d in ordered)
-    lines.append("")
-    lines.append(FEEDBACK_INSTRUCTION)
-    return "\n".join(lines)
+    rendered = [render(d) for d in sorted(diagnostics, key=source_order)]
+    return "\n".join([
+        "The previously generated program was:", program, "",
+        "The compiler reported the following errors:", *rendered, "", FEEDBACK_INSTRUCTION,
+    ])

@@ -274,34 +274,20 @@ def evaluate_accuracy(outcome: RobotState | SimError, expectation: TaskExpectati
 # ---------------------------------------------------------------------------
 # Offline transports
 
-def _load_oracle_programs() -> dict[str, str]:
-    text = resources.files("rsl.data").joinpath("oracle_programs.json").read_text("utf-8")
-    return json.loads(text)
-
-
-def _find_task(messages: Sequence[dict], known: dict[str, str]) -> str | None:
-    for message in reversed(messages):
-        if message.get("role") == "user" and message.get("content") in known:
-            return message["content"]
-    return None
-
-
 class OracleTransport:
     """Deterministic stand-in model: replies with the hand-verified program
     for whichever benchmark task appears in the conversation."""
 
     def __init__(self) -> None:
-        self.programs = _load_oracle_programs()
+        text = resources.files("rsl.data").joinpath("oracle_programs.json").read_text("utf-8")
+        self.programs: dict[str, str] = json.loads(text)
 
     def send(self, config: ModelConfig, payload: dict) -> dict:
-        task = _find_task(payload["messages"], self.programs)
-        if task is None:
-            raise TransportError("oracle transport: no known task in the prompt")
-        return {
-            "choices": [
-                {"message": {"role": "assistant", "content": self.programs[task]}}
-            ]
-        }
+        for message in reversed(payload["messages"]):  # the last user message that is a task
+            if message.get("role") == "user" and message.get("content") in self.programs:
+                program = self.programs[message["content"]]
+                return {"choices": [{"message": {"role": "assistant", "content": program}}]}
+        raise TransportError("oracle transport: no known task in the prompt")
 
 
 class FailFirstTransport:

@@ -35,10 +35,12 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 from .diagnostics import Category, Diagnostic
-from .syntax import IDENTIFIER, KEYWORDS, NUMERAL, STATEMENT_KINDS, SourceSpan, Token, TokenKind
+from .syntax import (
+    IDENTIFIER, KEYWORDS, NUMERAL, STATEMENT_KINDS, SourceSpan, Token, TokenKind, frozen_slots,
+    slot_builder,
+)
 
 # Enum members as module globals: a lookup on the class runs EnumType's hook.
 _KEYWORD, _IDENTIFIER, _NUMBER = TokenKind.KEYWORD, TokenKind.IDENTIFIER, TokenKind.NUMBER
@@ -112,10 +114,13 @@ _LETTER_RE = re.compile(r"[A-Za-z_]")
 _FLOAT_MAX = sys.float_info.max
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class LexOutcome:
     tokens: tuple[Token, ...]
     diagnostics: tuple[Diagnostic, ...]
+
+
+_lex_outcome = slot_builder(LexOutcome)
 
 
 def lex(source: str) -> LexOutcome:
@@ -170,4 +175,4 @@ def lex(source: str) -> LexOutcome:
         pos = m.end(group)
     col = len(source) - line_start + 1
     tokens.append(_new(Token, (_END, "", _new(SourceSpan, (line, col, col)), None, None)))
-    return LexOutcome(tuple(tokens), tuple(diagnostics))
+    return _lex_outcome(tuple(tokens), tuple(diagnostics))

@@ -95,14 +95,10 @@ class HttpTransport:
         url = config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Authorization": f"Bearer {config.api_key}"}
         try:
-            response = requests.post(
-                url, json=payload, headers=headers, timeout=config.timeout
-            )
+            response = requests.post(url, json=payload, headers=headers, timeout=config.timeout)
         except requests.RequestException as err:
             # Deliberately terse: never echo headers or the key.
-            raise TransportError(
-                f"request to {url} failed: {type(err).__name__}"
-            ) from err
+            raise TransportError(f"request to {url} failed: {type(err).__name__}") from err
         status = response.status_code
         if status in (401, 403):
             raise AuthError(f"authentication rejected (HTTP {status})")

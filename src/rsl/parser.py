@@ -4,18 +4,18 @@ Statement dispatch inspects exactly one lookahead token and the stream only
 moves forward; there is no backtracking. Match, else diagnose: at a keyword,
 the kinds of the tokens after it are compared with its STATEMENT_KINDS
 entry, parameters with commas between them and then a semicolon, and a
-statement that matches is taken in one step. syntax.trusted_statement builds
-it without Statement's schema re-check. Otherwise the tokens are checked one
-at a time in a fixed order, so exactly one diagnostic fires per statement:
-parameter kinds in position order, then arity, then the terminator. A token
-that is not a keyword where a statement starts is a Command diagnostic.
-After a diagnostic the parser skips to the next semicolon or keyword and
-continues, so a single pass reports every broken statement.
+statement that matches is taken in one step: its Statement is built by
+setting its slots, without the schema re-check of Statement's __post_init__,
+and so are the Program and the ParseOutcome (syntax.slot_builder).
+Otherwise the tokens are checked one at a time in a fixed order, so exactly
+one diagnostic fires per statement: parameter kinds in position order, then
+arity, then the terminator. A token that is not a keyword where a statement
+starts is a Command diagnostic. After a diagnostic the parser skips to the
+next semicolon or keyword and continues, so a single pass reports every
+broken statement.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .diagnostics import Category, Diagnostic, source_order
 from .lexer import lex
@@ -29,7 +29,8 @@ from .syntax import (
     Token,
     TokenKind,
     acyclic,
-    trusted_statement,
+    frozen_slots,
+    slot_builder,
 )
 
 # Enum members as module globals, as in lexer.py.
@@ -37,14 +38,14 @@ _KEYWORD, _IDENTIFIER, _NUMBER = TokenKind.KEYWORD, TokenKind.IDENTIFIER, TokenK
 _SEMICOLON, _COMMA, _END = TokenKind.SEMICOLON, TokenKind.COMMA, TokenKind.END
 _BAD_COMMAND, _BAD_PARAMETER = Category.COMMAND, Category.PARAMETER
 _BAD_QUANTITY, _BAD_SEMICOLON = Category.QUANTITY, Category.SEMICOLON
-_new = tuple.__new__
+_new, _object_new = tuple.__new__, object.__new__
 
 # Tuples, whose membership test compares identities, not Enum.__hash__ values.
 _SYNC_KINDS = (_SEMICOLON, _KEYWORD, _END)
 _ARGUMENT_KINDS = (_NUMBER, _IDENTIFIER, _COMMA)
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class ParseOutcome:
     """The (possibly partial) program and every diagnostic found. The program
     holds only statements that parsed cleanly, in source order; it is fully
@@ -52,6 +53,12 @@ class ParseOutcome:
 
     program: Program
     diagnostics: tuple[Diagnostic, ...]
+
+
+_program, _outcome = slot_builder(Program), slot_builder(ParseOutcome)
+_set_verified = Program.__dict__["verified"].__set__
+# Statements are built inline: a builder call each would cost more than its three sets.
+_set_keyword, _set_args, _set_span = (Statement.__dict__[f].__set__ for f in Statement.__slots__)
 
 
 class TokenStream:
@@ -103,9 +110,8 @@ def _statement_text(consumed: tuple[Token, ...], source: str, lines: list[str]) 
 
 def _statement_span(first: Token, last: Token) -> SourceSpan:
     """first to last if on one line, else first's; valid, as tokens are in order."""
-    if first.span.line == last.span.line:
-        return _new(SourceSpan, (first.span.line, first.span.col_start, last.span.col_end))
-    return first.span
+    span, end = first[2], last[2]  # by index, as in parse
+    return _new(SourceSpan, (span[0], span[1], end[2])) if span[0] == end[0] else span
 
 
 def _recover(stream: TokenStream) -> None:
@@ -155,29 +161,40 @@ def parse(tokens: tuple[Token, ...], source: str = "") -> ParseOutcome:
     quote the statement verbatim."""
     stream = TokenStream(tokens)
     tokens = stream._tokens
-    kinds = [tok.kind for tok in tokens]
+    # Token fields are read by index (kind, text, span, keyword, value):
+    # Python 3.11 specialises attribute loads on slots, not on a named tuple.
+    kinds = [tok[0] for tok in tokens]
     lines: list[str] = []
     statements: list[Statement] = []
     diagnostics: list[Diagnostic] = []
-    while (tok := tokens[first := stream._pos]).kind is not _END:
-        if tok.kind is not _KEYWORD:
-            diagnostics.append(_new(Diagnostic, (_BAD_COMMAND, tok.span, tok.text)))
+    while (kind := kinds[first := stream._pos]) is not _END:
+        tok = tokens[first]
+        if kind is not _KEYWORD:
+            diagnostics.append(_new(Diagnostic, (_BAD_COMMAND, tok[2], tok[1])))
             _recover(stream)
             continue
         # Match, else diagnose: a statement whose tokens are all of the
         # expected kinds is taken in one step.
-        keyword = tok.keyword
+        keyword = tok[3]
         end = first + len(expected := STATEMENT_KINDS[keyword])
         if kinds[first + 1 : end + 1] == expected:
-            args = ()
-            for t in tokens[first + 1 : end : 2]:
-                args += (_new(Number, (t.value, t.text)) if t.kind is _NUMBER else t.text,)
-            statements.append(trusted_statement(keyword, args, _statement_span(tok, tokens[end])))
+            # One argument per parameter token, as its kind says: a word is an
+            # object name. One parameter, the common form, is taken without a loop.
+            if end == first + 2:
+                t = tokens[first + 1]
+                args = (t[1] if t[0] is _IDENTIFIER else _new(Number, (t[4], t[1])),)
+            else:
+                args = tuple([t[1] if t[0] is _IDENTIFIER else _new(Number, (t[4], t[1]))
+                              for t in tokens[first + 1 : end : 2]])
+            statements.append(statement := _object_new(Statement))
+            _set_keyword(statement, keyword)
+            _set_args(statement, args)
+            _set_span(statement, _statement_span(tok, tokens[end]))
             stream.skip(end + 1 - first)
             continue
         diagnostics.append(_statement_diagnostic(stream, expected, source, lines))
         _recover(stream)
-    return ParseOutcome(Program(tuple(statements), source), tuple(diagnostics))
+    return _outcome(_program(tuple(statements), source, False), tuple(diagnostics))
 
 
 def validate(program: Program) -> list[Diagnostic]:
@@ -204,7 +221,7 @@ def check(source: str) -> ParseOutcome:
     parsed = parse(lexed.tokens, source)
     semantic = validate(parsed.program)
     if not (lexed.diagnostics or parsed.diagnostics or semantic):
-        object.__setattr__(parsed.program, "verified", True)
+        _set_verified(parsed.program, True)
         return parsed
     merged = sorted(
         [*lexed.diagnostics, *parsed.diagnostics, *semantic], key=source_order

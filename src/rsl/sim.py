@@ -17,13 +17,15 @@ perceive sets a flag.
 trace_to_jsonl's format is byte-exact: one line per record, each the bytes
 of json.dumps(record, sort_keys=True, allow_nan=False), so the keys come in
 sorted order (cam_pan, cam_tilt, heading, held, perceived, statement, x, y),
-numbers are written as their repr, which is json's float text, and strings
-are escaped to ASCII. Every line ends in a newline. A non-finite number is a
-ValueError, never NaN or Infinity.
+a float is written as its repr, which is json's float text, any other value
+as json writes it (a bool as true or false, an int as its digits), and
+strings are escaped to ASCII. Every line ends in a newline. A non-finite
+number is a ValueError, never NaN or Infinity.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -32,8 +34,8 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .syntax import (
-    IDENTIFIER_RE, Program, Statement, acyclic, finite_number, json_document, read_input,
-    refuse_mutation, render_statement,
+    IDENTIFIER_RE, Program, Statement, acyclic, finite_number, frozen_slots, json_document,
+    read_input, render_statement,
 )
 
 # Slack for boundary grasps: an approach parks the robot exactly reach_offset
@@ -85,6 +87,8 @@ def load_world(text: str) -> World:
     doc = json_document(text, WorldError, "world", parse_int=float)
     if not isinstance(doc, dict):
         raise WorldError("world must be a JSON object")
+    if unknown := [key for key in doc if key not in ("objects", "grasp_range", "reach_offset")]:
+        raise WorldError(f"world does not take a key {unknown[0]!r}")
     geometry = {k: doc[k] for k in ("grasp_range", "reach_offset") if k in doc}
     return World(doc.get("objects", {}), **geometry)
 
@@ -112,7 +116,7 @@ class TraceRecord(NamedTuple):
     perceived: bool
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slots
 class RobotState:
     x: float = 0.0
     y: float = 0.0
@@ -124,7 +128,6 @@ class RobotState:
     trace: tuple[TraceRecord, ...] = ()
 
 
-RobotState.__setattr__ = RobotState.__delattr__ = refuse_mutation
 # The state every run starts from unless given one; shared, as it cannot change.
 _START = RobotState()
 
@@ -285,12 +288,16 @@ _TRACE_LINE = (
 _UNSET = object()
 
 
-def _number_text(value: float, field: str) -> str:
-    """json's text for a number, which is its repr; a non-finite value is a
-    ValueError, as json.dumps with allow_nan=False raises."""
-    if not math.isfinite(value):
-        raise ValueError(f"trace field {field} is not finite: {value!r}")
-    return repr(value)
+def _json_text(value, field: str) -> str:
+    """json.dumps(value, allow_nan=False)'s text, a finite float's (its repr)
+    taken directly. A value json refuses, such as a number that is not
+    finite, is a ValueError that names the field."""
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    try:
+        return json.dumps(value, allow_nan=False)
+    except ValueError as err:
+        raise ValueError(f"trace field {field} cannot be written as JSON: {err}") from err
 
 
 def trace_to_jsonl(state: RobotState) -> str:
@@ -298,29 +305,29 @@ def trace_to_jsonl(state: RobotState) -> str:
     line the bytes json.dumps(record, sort_keys=True, allow_nan=False) gives.
 
     _execute passes a field a statement does not change through as the same
-    object, so a number's text is made again only when the object differs
+    object, so a field's text is made again only when the object differs
     from the previous record's."""
     lines = []
-    last_x = last_y = last_heading = last_pan = last_tilt = last_held = _UNSET
+    last_x = last_y = last_heading = last_pan = last_tilt = last_held = last_perceived = _UNSET
     # Unpacked, not read by attribute: Python 3.11 specialises attribute loads
     # on __slots__ but not on a named tuple's fields.
     for statement, x, y, heading, cam_pan, cam_tilt, held, perceived in state.trace:
         if x is not last_x:
-            last_x, x_text = x, _number_text(x, "x")
+            last_x, x_text = x, _json_text(x, "x")
         if y is not last_y:
-            last_y, y_text = y, _number_text(y, "y")
+            last_y, y_text = y, _json_text(y, "y")
         if heading is not last_heading:
-            last_heading, heading_text = heading, _number_text(heading, "heading")
+            last_heading, heading_text = heading, _json_text(heading, "heading")
         if cam_pan is not last_pan:
-            last_pan, cam_pan_text = cam_pan, _number_text(cam_pan, "cam_pan")
+            last_pan, cam_pan_text = cam_pan, _json_text(cam_pan, "cam_pan")
         if cam_tilt is not last_tilt:
-            last_tilt, cam_tilt_text = cam_tilt, _number_text(cam_tilt, "cam_tilt")
+            last_tilt, cam_tilt_text = cam_tilt, _json_text(cam_tilt, "cam_tilt")
         if held is not last_held:
-            last_held = held
-            held_text = "null" if held is None else encode_basestring_ascii(held)
+            last_held, held_text = held, _json_text(held, "held")
+        if perceived is not last_perceived:
+            last_perceived, perceived_text = perceived, _json_text(perceived, "perceived")
         lines.append(_TRACE_LINE % (
-            cam_pan_text, cam_tilt_text, heading_text, held_text,
-            "true" if perceived else "false",
+            cam_pan_text, cam_tilt_text, heading_text, held_text, perceived_text,
             encode_basestring_ascii(render_statement(statement)),
             x_text, y_text,
         ))

@@ -6,8 +6,10 @@ expressions, conditionals, or loops.
 
 The lexer makes a few tokens per statement, so the per-token types are cheap
 to build: SourceSpan, Token and Number are immutable named tuples, which also
-compare equal to plain tuples holding the same values. Statement and Program
-are slotted frozen dataclasses. None of them has a per-instance __dict__.
+compare equal to plain tuples holding the same values. Statement, Program and
+the lexer's and parser's outcomes are frozen_slots classes, which the parser
+and lexer build by setting their slots (slot_builder), not through the
+generated __init__. None of them has a per-instance __dict__.
 
 Every input file a user names is read by read_input, and every JSON document
 by json_document, which refuses a key given twice in one object.
@@ -160,13 +162,38 @@ class Number(NamedTuple):
     raw: str
 
 
-def refuse_mutation(self, name: str, *value) -> None:
-    """__setattr__ and __delattr__ of the slotted frozen dataclasses, whose
-    generated pair raises TypeError for a name that is not a field."""
+def _refuse_mutation(self, name: str, *value) -> None:
     raise FrozenInstanceError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
 
-@dataclass(frozen=True, slots=True)
+def frozen_slots(cls):
+    """cls as a slotted frozen dataclass whose __setattr__ and __delattr__
+    raise FrozenInstanceError for any name, where the generated pair raises
+    TypeError for a name that is not a field."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = _refuse_mutation
+    return cls
+
+
+def slot_builder(cls):
+    """A function of the field values of cls, a frozen_slots class, in field
+    order, that builds an instance by setting each slot in turn: without the
+    generated __init__, its object.__setattr__ per field and any
+    __post_init__ check, for callers that have made sure of the values."""
+    setters = [cls.__dict__[name].__set__ for name in cls.__slots__]
+
+    def build(*values):
+        instance = object.__new__(cls)
+        index = 0  # not zip or enumerate, whose iterator per call costs more
+        for setter in setters:
+            setter(instance, values[index])
+            index += 1
+        return instance
+
+    return build
+
+
+@frozen_slots
 class Statement:
     """One command: keyword plus arguments per STATEMENT_SCHEMAS.
 
@@ -194,23 +221,7 @@ class Statement:
                 raise ValueError(f"{self.keyword} expects an object-name argument")
 
 
-Statement.__setattr__ = Statement.__delattr__ = refuse_mutation
-_set_keyword, _set_args, _set_span = (
-    Statement.__dict__[name].__set__ for name in ("keyword", "args", "span")
-)
-
-
-def trusted_statement(keyword: str, args: tuple, span: SourceSpan) -> Statement:
-    """A Statement built without __post_init__'s schema check, for the parser,
-    which has enforced STATEMENT_SCHEMAS on what it passes already."""
-    statement = object.__new__(Statement)
-    _set_keyword(statement, keyword)
-    _set_args(statement, args)
-    _set_span(statement, span)
-    return statement
-
-
-@dataclass(frozen=True, slots=True)
+@frozen_slots
 class Program:
     """Ordered statements plus the source they came from. Equality is
     structural over the statements; source is provenance only.
@@ -223,9 +234,6 @@ class Program:
     statements: tuple[Statement, ...] = ()
     source: str = field(compare=False, default="")
     verified: bool = field(default=False, init=False, compare=False, repr=False)
-
-
-Program.__setattr__ = Program.__delattr__ = refuse_mutation
 
 
 def acyclic(function):

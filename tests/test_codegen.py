@@ -154,6 +154,11 @@ def test_malformed_json_rejected():
         ({"bindings": {"forward": {**forward, "function": 7}}}, "needs a function"),
         ({"bindings": {"forward": without(dict(forward), "params")}}, "needs a params list"),
         ({"bindings": {"forward": {**forward, "params": "number"}}}, "needs a params list"),
+        ({**manifest_doc(), "preambel": []}, "^manifest does not take a key 'preambel'$"),
+        (
+            {"bindings": {"forward": {**forward, "param": ["number"]}}},
+            "^binding for 'forward' does not take a key 'param'$",
+        ),
     ]:
         with pytest.raises(ManifestError, match=message):
             load_manifest(json.dumps(doc))

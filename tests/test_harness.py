@@ -38,7 +38,7 @@ from rsl import (
     report_to_json,
     run,
 )
-from rsl.harness import GROUP_SIZES, _load_oracle_programs, _match_action
+from rsl.harness import GROUP_SIZES, _match_action
 from rsl.syntax import IDENTIFIER, render_program
 
 from support import KEYWORD_LIST, random_program, reference_match_action
@@ -299,7 +299,7 @@ def test_dataset_file_errors_name_the_file(tmp_path, name, content):
 
 def test_every_oracle_program_verifies_and_is_accurate():
     world = default_world()
-    programs = _load_oracle_programs()
+    programs = OracleTransport().programs
     for task in load_default_tasks():
         assert task.text in programs, task.id
         outcome = check(programs[task.text])
@@ -578,7 +578,7 @@ def checked_run(seed):
     """The state a checked program, an oracle one or a random one, reaches in
     a world that holds every object it names: the error's state on failure."""
     rng = random.Random(seed)
-    oracle = sorted(_load_oracle_programs().values())
+    oracle = sorted(OracleTransport().programs.values())
     source = rng.choice(oracle) if rng.random() < 0.3 else render_program(random_program(rng))
     outcome = check(source)
     assert not outcome.diagnostics

@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from rsl import Category, RobotState, TokenKind, check, default_world, lex, run
 from rsl.syntax import KEYWORDS
 
@@ -148,6 +150,20 @@ def test_unterminated_block_comment():
     out = lex("/* never closed\nforward 1;")
     assert categories(out) == [Category.COMMENT]
     assert kinds(out) == [TokenKind.END]
+    # The input it swallows is a gap, whose newline moves END to line 2.
+    assert out.tokens[-1].span == (2, 11, 11)
+
+
+@pytest.mark.parametrize("source, end", [
+    ("forward 1;", (1, 11, 11)),
+    ("forward 1;\n", (2, 1, 1)),
+    ("forward 1; // done", (1, 19, 19)),
+    ("perceive;\nFORWARD 2", (2, 10, 10)),
+    ("", (1, 1, 1)),
+    ("$", (1, 2, 2)),
+])
+def test_end_token_follows_the_last_lexeme_or_gap(source, end):
+    assert lex(source).tokens[-1] == (TokenKind.END, "", end, None, None)
 
 
 def test_negative_number_is_lexed():

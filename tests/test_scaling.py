@@ -23,6 +23,7 @@ from rsl import (
     default_world,
     generate,
     lex,
+    parse,
     render_statement,
     run,
     trace_to_jsonl,
@@ -79,11 +80,11 @@ def test_check_with_every_semicolon_missing_scales_linearly():
     assert_linear(check, sources)
 
 
-@pytest.mark.parametrize("fn", [check, lex])
+@pytest.mark.parametrize("fn", [check, lex, parse])
 def test_clean_source_scales_linearly(fn):
     sources = ["\n".join(map(render_statement, statements(count))) for count in SIZES]
     assert not check(sources[0]).diagnostics
-    assert_linear(fn, sources)
+    assert_linear(fn, [lex(source).tokens for source in sources] if fn is parse else sources)
 
 
 def test_check_of_one_long_malformed_number_scales_linearly():

@@ -295,6 +295,11 @@ def test_world_loading_and_validation():
         load_world('{"objects": {"cup": [1, 2], "cup": [3, 4]}}')
     with pytest.raises(WorldError, match="^duplicate key 'grasp_range' in world$"):
         load_world('{"objects": {}, "grasp_range": 0.4, "grasp_range": 9}')
+    # A misspelt key would leave the world it names empty or at its defaults.
+    with pytest.raises(WorldError, match="^world does not take a key 'object'$"):
+        load_world('{"object": {"cup": [1, 2]}}')
+    with pytest.raises(WorldError, match="^world does not take a key 'reach'$"):
+        load_world('{"objects": {}, "grasp_range": 0.4, "reach": 1}')
 
 
 @pytest.mark.parametrize(
@@ -598,6 +603,8 @@ def hand_built_traces(draw):
 @example(RobotState())
 @example(step(RobotState(x=1, y=-2, heading=0, cam_pan=3, cam_tilt=-4), WORLD, stmt("perceive")))
 @example(run(program("lookup 2; lookleft 1; forward 1; approach box; grasp box;"), WORLD, RobotState(x=1)))
+@example(run(program("perceive;"), WORLD, RobotState(x=True)))
+@example(run(program("perceive;"), WORLD, RobotState(y=10**400)))
 def test_trace_export_matches_per_record_json_dumps(state):
     assert trace_to_jsonl(state) == reference_trace_to_jsonl(state)
 

@@ -25,6 +25,7 @@ from rsl import (
     check,
     default_world,
     evaluate,
+    lex,
     load_default_tasks,
     make_prompt_parts,
     render_program,
@@ -133,6 +134,8 @@ def value_type_instances():
         number,
         statement,
         check("forward 1;").program,
+        lex("forward 1;"),
+        check("forward 1;"),
         Diagnostic(Category.NUMBER, span, "1x"),
         record,
         RobotState(trace=(record,)),
@@ -158,6 +161,23 @@ def test_named_tuple_value_types_refuse_names_that_are_not_fields(instance):
             setattr(instance, name, None)
         with pytest.raises(AttributeError):
             delattr(instance, name)
+
+
+def test_outcomes_support_dataclasses_replace():
+    # The benchmark's reference checks edit check's outcome and its program
+    # this way; built through their slots, the records must still allow it.
+    outcome = check("forward 1;\nperceive;")
+    shorter = dataclasses.replace(outcome, program=dataclasses.replace(
+        outcome.program, statements=outcome.program.statements[:1]))
+    assert shorter.program.statements == outcome.program.statements[:1]
+    assert shorter.program.source == outcome.program.source
+    assert shorter.diagnostics == () and not shorter.program.verified
+    assert outcome.program.verified and len(outcome.program.statements) == 2
+    lexed = lex("forward 1;")
+    diagnostic = Diagnostic(Category.NUMBER, SourceSpan(1, 9, 9), "1")
+    swapped = dataclasses.replace(lexed, diagnostics=(diagnostic,))
+    assert swapped.tokens == lexed.tokens and lexed.diagnostics == ()
+    assert swapped == type(lexed)(lexed.tokens, swapped.diagnostics)
 
 
 def test_package_exports_every_public_name_but_no_module():
