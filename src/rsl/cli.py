@@ -41,11 +41,6 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, indent=2, allow_nan=False))
 
 
-def _print_diagnostics(diagnostics) -> None:
-    for diagnostic in diagnostics:
-        print(render(diagnostic), file=sys.stderr)
-
-
 def _diagnostics_json(diagnostics) -> list[dict]:
     return [
         {
@@ -103,7 +98,8 @@ def _report(outcome, as_json: bool) -> None:
             }
         )
     else:
-        _print_diagnostics(outcome.diagnostics)
+        for diagnostic in outcome.diagnostics:
+            print(render(diagnostic), file=sys.stderr)
 
 
 def cmd_check(args) -> int:
@@ -186,7 +182,8 @@ def cmd_translate(args) -> int:
         )
     if not outcome.verified:
         if not args.json:
-            _print_diagnostics(last_diagnostics)
+            for diagnostic in last_diagnostics:
+                print(render(diagnostic), file=sys.stderr)
             print(f"not verified after {outcome.passes} pass(es)", file=sys.stderr)
         return EXIT_DOMAIN
     if not args.json:
@@ -303,7 +300,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,13 +5,15 @@ its matches in order and dispatches on what matched, so every character of
 the source belongs to exactly one match. A well-formed statement on one line,
 with a lowercase keyword and only spaces and tabs inside, is one match: there
 is one alternative per token-kind shape in STATEMENT_KINDS, and lex emits
-the statement's tokens from its groups. Anything else, such as a statement
-broken across lines or by a comment, a case-variant keyword or a bad lexeme,
-falls back to one match per token. Gaps (whitespace, newlines, closed
-comments) are a prefix of the next match, or of a last match at the end.
-Line and column come from the last newline seen, searched for only in gaps
-that are not empty. Spans are valid by construction, so tokens and spans
-skip SourceSpan's check.
+the statement's tokens from its groups in one loop, as no lexeme in such a
+match needs a diagnostic (numbers have at most 308 integer digits, objects
+are no keyword; see _statement_alternatives). Anything else, such as a
+statement broken across lines or by a comment, a case-variant keyword or a
+bad lexeme, falls back to one match per token. Gaps (whitespace, newlines,
+closed comments) are a prefix of the next match, or of a last match at the
+end. Line and column come from the last newline seen, searched for only in
+gaps that are not empty. Spans are valid by construction, so tokens and
+spans skip SourceSpan's check.
 
 Lexical problems never abort the scan. Each one becomes a diagnostic in one of
 the five lexical categories, and where the intended token is obvious the
@@ -38,8 +40,8 @@ import sys
 
 from .diagnostics import Category, Diagnostic
 from .syntax import (
-    IDENTIFIER, KEYWORDS, NUMERAL, STATEMENT_KINDS, SourceSpan, Token, TokenKind, frozen_slots,
-    slot_builder,
+    ANY_CASE_KEYWORD, IDENTIFIER, KEYWORDS, NUMERAL, STATEMENT_KINDS, SourceSpan, Token, TokenKind,
+    frozen_slots, slot_builder,
 )
 
 # Enum members as module globals: a lookup on the class runs EnumType's hook.
@@ -55,10 +57,13 @@ def _statement_alternatives() -> tuple[str, dict[str, tuple]]:
     """One alternative per token-kind shape in STATEMENT_KINDS, a whole
     statement on one line: a lowercase keyword of that shape, then the tokens
     of its kinds. Only spaces and tabs come between them, and at least one
-    between a keyword and its first parameter. Also returns, per alternative
-    of _TOKEN_RE, the (group, kind) of each lexeme it matches, in order; a
-    kind that is a Category is a diagnostic, and a word is an identifier
-    unless it is a keyword in some case."""
+    between a keyword and its first parameter. No lexeme in a match needs a
+    diagnostic: a number has at most sys.float_info.max_10_exp (308) integer
+    digits, so it is below 10**308 and its float finite, and an object is no
+    keyword in any case. Also returns, per alternative of _TOKEN_RE, the
+    (group, kind) of each lexeme it matches, in order; a kind that is a
+    Category is a diagnostic, and a word is an identifier unless it is a
+    keyword in some case."""
     lexemes = {kind: ((kind, lexeme),) for kind, lexeme in (
         ("word", _IDENTIFIER), ("numeral", _NUMBER), ("semicolon", _SEMICOLON), ("comma", _COMMA),
         ("unclosed", _BAD_COMMENT), ("slash", _BAD_COMMENT), ("char", _BAD_CHARACTER))}
@@ -67,7 +72,8 @@ def _statement_alternatives() -> tuple[str, dict[str, tuple]]:
         shapes.setdefault(tuple(kinds), []).append(keyword)
     # A number is followed by spaces or tabs and "," or ";", which cannot
     # continue a numeral, so "2.5.3" and "3apple" still go to numeral.
-    regex = {_NUMBER: NUMERAL, _IDENTIFIER: IDENTIFIER, _COMMA: ",", _SEMICOLON: ";"}
+    regex = {_NUMBER: rf"-?[0-9]{{1,{sys.float_info.max_10_exp}}}(?:\.[0-9]+)?", _COMMA: ",",
+             _IDENTIFIER: rf"(?!{ANY_CASE_KEYWORD}){IDENTIFIER}", _SEMICOLON: ";"}
     alternatives = []
     for index, (kinds, keywords) in enumerate(shapes.items()):
         name = f"s{index}"
@@ -110,6 +116,12 @@ _TOKEN_RE = re.compile(
     r"|(?P<end>\Z))",
     re.DOTALL,
 )
+# Per statement alternative, by its semicolon's group number (a match's lastindex),
+# the group number and kind of each of its lexemes, keyword first.
+_STATEMENTS = {
+    _TOKEN_RE.groupindex[name]: tuple((_TOKEN_RE.groupindex[g], kind) for g, kind in lexemes)
+    for name, lexemes in _LEXEMES.items() if len(lexemes) > 1
+}
 _LETTER_RE = re.compile(r"[A-Za-z_]")
 _FLOAT_MAX = sys.float_info.max
 
@@ -132,46 +144,54 @@ def lex(source: str) -> LexOutcome:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
     # line_start: offset of the line's first character; pos: end of the last
-    # lexeme. source[pos:start] is the gap before the next lexeme, plus, for a
-    # statement match (named by its semicolon), the statement's newline-free text.
+    # lexeme. source[pos:start] is the gap before the next lexeme.
     line, line_start, pos = 1, 0, 0
     for m in _TOKEN_RE.finditer(source):
-        alternative = m.lastgroup
-        start = m.start(alternative)
-        if start != pos and (newlines := source.count("\n", pos, start)):
+        statement = _STATEMENTS.get(m.lastindex)
+        start = m.start(statement[0][0]) if statement else m.start(m.lastindex)
+        if start == pos + 1 and source[pos] == "\n":
+            line, line_start = line + 1, start
+        elif start != pos and (newlines := source.count("\n", pos, start)):
             line += newlines
             line_start = source.rfind("\n", pos, start) + 1
+        if statement:
+            for group, kind in statement:
+                text = m.group(group)
+                col = m.start(group) - line_start + 1
+                span = _new(SourceSpan, (line, col, col + len(text) - 1))
+                tokens.append(_new(Token, (kind, text, span, text if kind is _KEYWORD else None,
+                                           float(text) if kind is _NUMBER else None)))
+            pos = m.end()
+            continue
+        alternative = m.lastgroup
         if alternative == "end":
             break
-        for group, kind in _LEXEMES[alternative]:
-            text = m.group(group)
-            col = m.start(group) - line_start + 1
-            span = _new(SourceSpan, (line, col, col + len(text) - 1))
-            if kind is _NUMBER:
-                # A number in a statement match is all prefix.
-                prefix = m.group("prefix") or text
+        ((group, kind),) = _LEXEMES[alternative]
+        text = m.group(group)
+        col = start - line_start + 1
+        span = _new(SourceSpan, (line, col, col + len(text) - 1))
+        if kind is _NUMBER:
+            prefix = m.group("prefix")
+            if len(prefix) != len(text) and _LETTER_RE.search(text):
+                diagnostics.append(_new(Diagnostic, (_BAD_IDENTIFIER, span, text)))
+                tokens.append(_new(Token, (_IDENTIFIER, text, span, None, None)))
+            else:
                 value = float(prefix)
-                if len(prefix) == len(text) and _isfinite(value):
-                    tokens.append(_new(Token, (_NUMBER, text, span, None, value)))
-                elif _LETTER_RE.search(text):
-                    diagnostics.append(_new(Diagnostic, (_BAD_IDENTIFIER, span, text)))
-                    tokens.append(_new(Token, (_IDENTIFIER, text, span, None, None)))
-                else:
+                if len(prefix) != len(text) or not _isfinite(value):
                     # The recovered value is the prefix's, or the largest finite
                     # float of its sign when the prefix is too large for one.
                     diagnostics.append(_new(Diagnostic, (_BAD_NUMBER, span, text)))
                     value = max(-_FLOAT_MAX, min(value, _FLOAT_MAX))
-                    tokens.append(_new(Token, (_NUMBER, text, span, None, value)))
-            elif kind is _IDENTIFIER and (keyword := text.lower()) in KEYWORDS:
-                if keyword != text:
-                    diagnostics.append(_new(Diagnostic, (_BAD_KEYWORD, span, text)))
-                tokens.append(_new(Token, (_KEYWORD, text, span, keyword, None)))
-            elif kind is _BAD_CHARACTER or kind is _BAD_COMMENT:
-                # The rest of the input an unclosed block swallows is a gap.
-                diagnostics.append(_new(Diagnostic, (kind, span, text)))
-            else:  # a statement's keyword, an identifier, a comma or a semicolon
-                keyword = text if kind is _KEYWORD else None
-                tokens.append(_new(Token, (kind, text, span, keyword, None)))
+                tokens.append(_new(Token, (_NUMBER, text, span, None, value)))
+        elif kind is _IDENTIFIER and (keyword := text.lower()) in KEYWORDS:
+            if keyword != text:
+                diagnostics.append(_new(Diagnostic, (_BAD_KEYWORD, span, text)))
+            tokens.append(_new(Token, (_KEYWORD, text, span, keyword, None)))
+        elif kind is _BAD_CHARACTER or kind is _BAD_COMMENT:
+            # The rest of the input an unclosed block swallows is a gap.
+            diagnostics.append(_new(Diagnostic, (kind, span, text)))
+        else:  # an identifier, a comma or a semicolon
+            tokens.append(_new(Token, (kind, text, span, None, None)))
         pos = m.end(group)
     col = len(source) - line_start + 1
     tokens.append(_new(Token, (_END, "", _new(SourceSpan, (line, col, col)), None, None)))

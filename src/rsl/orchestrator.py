@@ -23,19 +23,18 @@ from typing import Sequence
 from .diagnostics import Diagnostic, compose_feedback, render
 from .llm import ChatMessage, LlmError, ModelConfig, Transport, complete
 from .parser import check
-from .syntax import KEYWORDS, Program
+from .syntax import ANY_CASE_KEYWORD, KEYWORDS, Program
 
 DEFAULT_MAX_PASSES = 5
 
 _KEYWORD_ALTERNATION = "|".join(sorted(KEYWORDS))
-_KEYWORD_AHEAD = r"(?i:" + _KEYWORD_ALTERNATION + r")\b"
 # An opening fence is ``` followed by either code on the same line, after an
 # optional language tag and blanks, or an info line (dropped) and a newline.
 # Same-line code must start with a command keyword in any case, and a tag is
 # never a keyword, so ```perceive; forward 1;``` keeps both statements and a
 # stray ``` in prose does not open a fence.
 _FENCE_RE = re.compile(
-    r"```(?:(?:(?!" + _KEYWORD_AHEAD + r")[^\s`]+[ \t]+)?(?=" + _KEYWORD_AHEAD + r")"
+    r"```(?:(?:(?!" + ANY_CASE_KEYWORD + r")[^\s`]+[ \t]+)?(?=" + ANY_CASE_KEYWORD + r")"
     r"|[^\n`]*\n)(.*?)```",
     re.DOTALL,
 )

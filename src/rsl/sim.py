@@ -20,7 +20,8 @@ sorted order (cam_pan, cam_tilt, heading, held, perceived, statement, x, y),
 a float is written as its repr, which is json's float text, any other value
 as json writes it (a bool as true or false, an int as its digits), and
 strings are escaped to ASCII. Every line ends in a newline. A non-finite
-number is a ValueError, never NaN or Infinity.
+number is a ValueError, never NaN or Infinity. Each line is one f-string
+of the keys in that order and each field's JSON text.
 """
 
 from __future__ import annotations
@@ -279,15 +280,6 @@ def run(program: Program, world: World, initial: RobotState | None = None) -> Ro
     return _state_after(pose, tuple(records))
 
 
-# One trace line: json.dumps(record, sort_keys=True) layout, keys in sorted
-# order, filled with text that is already JSON.
-_TRACE_LINE = (
-    '{"cam_pan": %s, "cam_tilt": %s, "heading": %s, "held": %s, '
-    '"perceived": %s, "statement": %s, "x": %s, "y": %s}'
-)
-_UNSET = object()
-
-
 def _json_text(value, field: str) -> str:
     """json.dumps(value, allow_nan=False)'s text, a finite float's (its repr)
     taken directly. A value json refuses, such as a number that is not
@@ -308,7 +300,7 @@ def trace_to_jsonl(state: RobotState) -> str:
     object, so a field's text is made again only when the object differs
     from the previous record's."""
     lines = []
-    last_x = last_y = last_heading = last_pan = last_tilt = last_held = last_perceived = _UNSET
+    last_x = last_y = last_heading = last_pan = last_tilt = last_held = last_perceived = object()
     # Unpacked, not read by attribute: Python 3.11 specialises attribute loads
     # on __slots__ but not on a named tuple's fields.
     for statement, x, y, heading, cam_pan, cam_tilt, held, perceived in state.trace:
@@ -326,9 +318,9 @@ def trace_to_jsonl(state: RobotState) -> str:
             last_held, held_text = held, _json_text(held, "held")
         if perceived is not last_perceived:
             last_perceived, perceived_text = perceived, _json_text(perceived, "perceived")
-        lines.append(_TRACE_LINE % (
-            cam_pan_text, cam_tilt_text, heading_text, held_text, perceived_text,
-            encode_basestring_ascii(render_statement(statement)),
-            x_text, y_text,
-        ))
+        lines.append(
+            f'{{"cam_pan": {cam_pan_text}, "cam_tilt": {cam_tilt_text}, "heading": {heading_text}, '
+            f'"held": {held_text}, "perceived": {perceived_text}, "statement": '
+            f'{encode_basestring_ascii(render_statement(statement))}, "x": {x_text}, "y": {y_text}}}'
+        )
     return "\n".join(lines) + ("\n" if lines else "")

@@ -57,6 +57,7 @@ POSITIVE_MAGNITUDE_KEYWORDS = frozenset(
 # optional single fraction, with no exponent and no leading or trailing dot.
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
 NUMERAL = r"-?[0-9]+(?:\.[0-9]+)?"
+ANY_CASE_KEYWORD = rf"(?i:{'|'.join(sorted(KEYWORDS))})\b"  # a keyword in any case, a whole word
 IDENTIFIER_RE = re.compile(IDENTIFIER + r"\Z")
 
 
@@ -79,7 +80,7 @@ def json_document(text: str, error: type[ValueError], what: str, **options):
 
     try:
         document = json.loads(text, object_pairs_hook=unique, **options)
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
         raise error(f"{what} is not valid JSON: {err}") from err
     if duplicates:
         raise error(f"duplicate key {duplicates[0]!r} in {what}")

@@ -388,7 +388,9 @@ def test_module_entry_point_exits_two_on_non_utf8_source(tmp_path):
 
 
 # A --world, --manifest, --dataset or --responses file that cannot be loaded
-# is named in the one error line. FILE holds the given bytes.
+# is named in the one error line. FILE holds the given bytes. JSON nested
+# deeper than the decoder's recursion can go is invalid JSON, not a traceback.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 NAMED_FILE_MISTAKES = {
     "run-world-non-utf8": (["run", "OK", "--world", "FILE"], b"\xff"),
     "eval-world-non-utf8": (["eval", "--backend", "oracle", "--world", "FILE"], b"\xff"),
@@ -411,6 +413,12 @@ NAMED_FILE_MISTAKES = {
     ),
     "translate-responses-not-a-list": (
         ["translate", "t", "--backend", "scripted", "--responses", "FILE"], b'{"a": 1}'
+    ),
+    "run-world-too-deep": (["run", "OK", "--world", "FILE"], b'{"objects": ' + DEEP_JSON + b"}"),
+    "compile-manifest-too-deep": (["compile", "OK", "--manifest", "FILE"], DEEP_JSON),
+    "eval-dataset-too-deep": (["eval", "--backend", "oracle", "--dataset", "FILE"], DEEP_JSON),
+    "translate-responses-too-deep": (
+        ["translate", "t", "--backend", "scripted", "--responses", "FILE"], DEEP_JSON
     ),
 }
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rsl import Category, RobotState, TokenKind, check, default_world, lex, run
-from rsl.syntax import KEYWORDS
+from rsl.syntax import KEYWORDS, STATEMENT_SCHEMAS, Number, Statement, render_statement
 
 import rsl.lexer as lexer_mod
 from support import ReferenceScanner, random_junk_source, random_spaced_source
@@ -267,7 +267,21 @@ STATEMENT_EDGE_CASES = (
     "forwardx 1;", "perceivex;", "graspcup;", "gotox 1, 2;", "forward 1;perceive;",
     "forward 1\n;", "forward\n1;", "forward /* x */ 1;", "forward 1 // x\n;", "forward 1\r;",
     "Forward 1;", "forward 1$;", "forward \u00e91;", "grasp caf\u00e9;", "forward 1\u0661;",
+    # A statement match takes no object that is a keyword in any case and no
+    # number of more than 308 integer digits: those go to the per-token path.
+    "approach Forward;", "grasp goto;", "approach GOTO ;",
+    "forward " + "9" * 308 + ";", "forward " + "9" * 309 + ";", "goto 1, -" + "1" * 400 + ";",
 )
+
+
+@pytest.mark.parametrize("gap", [" ", "\t"], ids=["blanks", "tabs"])
+@pytest.mark.parametrize("keyword", sorted(KEYWORDS))
+def test_clean_statement_is_one_match(keyword, gap):
+    args = tuple(Number(-2.5, "-2.5") if p == "number" else "cup" for p in STATEMENT_SCHEMAS[keyword])
+    source = render_statement(Statement(keyword, args)).replace(" ", gap)
+    statement, end = lexer_mod._TOKEN_RE.finditer(source)
+    assert (statement.end(), end.lastgroup) == (len(source), "end")
+    assert len(lexer_mod._LEXEMES[statement.lastgroup]) == len(lex(source).tokens) - 1
 
 
 def test_statement_alternatives_match_reference_scanner():

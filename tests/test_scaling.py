@@ -87,6 +87,15 @@ def test_clean_source_scales_linearly(fn):
     assert_linear(fn, [lex(source).tokens for source in sources] if fn is parse else sources)
 
 
+@pytest.mark.parametrize("fn", [check, lex])
+def test_clean_source_on_one_line_scales_linearly(fn):
+    # No newline separates the statements, so every gap takes lex's general
+    # newline count rather than its one-newline case.
+    sources = [" ".join(map(render_statement, statements(count))) for count in SIZES]
+    assert not check(sources[0]).diagnostics
+    assert_linear(fn, sources)
+
+
 def test_check_of_one_long_malformed_number_scales_linearly():
     # 10k and 100k "1." pairs: recovering the number's value must not try
     # every prefix of it.
