@@ -19,7 +19,8 @@ from typing import Mapping
 from .diagnostics import render
 from .parser import check
 from .syntax import (
-    IDENTIFIER_RE, Number, Program, STATEMENT_SCHEMAS, json_document, read_input, render_program
+    IDENTIFIER_RE, Number, Program, STATEMENT_SCHEMAS, json_document, json_object, read_input,
+    render_program,
 )
 
 
@@ -99,10 +100,7 @@ def load_manifest(text: str) -> SkillManifest:
     not a manifest's or a binding's, a document of the wrong shape and any
     missing keyword (naming the absentees)."""
     doc = json_document(text, ManifestError, "manifest")
-    if not isinstance(doc, dict):
-        raise ManifestError("manifest must be a JSON object")
-    if unknown := [key for key in doc if key not in ("preamble", "bindings")]:
-        raise ManifestError(f"manifest does not take a key {unknown[0]!r}")
+    json_object(doc, ManifestError, "manifest", ("preamble", "bindings"))
 
     raw_bindings = doc.get("bindings")
     if not isinstance(raw_bindings, dict):
@@ -112,8 +110,8 @@ def load_manifest(text: str) -> SkillManifest:
     for keyword, entry in raw_bindings.items():
         if not isinstance(entry, dict):
             raise ManifestError(f"binding for {keyword!r} must be an object")
-        if unknown := [key for key in entry if key not in ("module", "function", "params")]:
-            raise ManifestError(f"binding for {keyword!r} does not take a key {unknown[0]!r}")
+        json_object(entry, ManifestError, f"binding for {keyword!r}",
+                    ("module", "function", "params"))
         bindings[keyword] = SkillBinding(
             keyword, entry.get("module"), entry.get("function"), entry.get("params")
         )

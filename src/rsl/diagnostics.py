@@ -83,6 +83,8 @@ FEEDBACK_INSTRUCTION = (
     "Regenerate a corrected RSL program only: output the full program, "
     "one statement per line, with no explanations."
 )
+# The repair loop's one feedback line for a reply that verifies but has no statement.
+EMPTY_PROGRAM_FEEDBACK = "The previously generated program had no statement. " + FEEDBACK_INSTRUCTION
 
 
 def compose_feedback(diagnostics: Sequence[Diagnostic], program: str) -> str:

@@ -29,7 +29,8 @@ from .llm import ModelConfig, Transport, TransportError
 from .orchestrator import DEFAULT_MAX_PASSES, PromptParts, TranslationAborted, translate
 from .sim import RobotState, SimError, World, run
 from .syntax import (
-    IDENTIFIER_RE, KEYWORDS, STATEMENT_SCHEMAS, Number, finite_number, json_document, read_input
+    IDENTIFIER_RE, KEYWORDS, STATEMENT_SCHEMAS, Number, finite_number, json_document, json_object,
+    read_input,
 )
 
 GROUP_SIZES = {"simple": 6, "ambiguous": 4, "multi_step": 6, "complex": 9}
@@ -144,6 +145,7 @@ def _task_records(text: str) -> list[TaskRecord]:
         if task_id in seen_ids:
             raise DatasetError(f"duplicate task id {task_id!r}")
         seen_ids.add(task_id)
+        json_object(entry, DatasetError, f"task {task_id}", ("id", "group", "text", "expectation"))
         if group not in GROUP_SIZES:
             raise DatasetError(f"task {task_id}: unknown group {group!r}")
         if not isinstance(text, str) or not text:
@@ -152,6 +154,7 @@ def _task_records(text: str) -> list[TaskRecord]:
             expectation.get("predicates"), list
         ):
             raise DatasetError(f"task {task_id}: needs an expectation with predicates")
+        json_object(expectation, DatasetError, f"task {task_id}: expectation", ("predicates",))
         try:
             expected = TaskExpectation(tuple(expectation["predicates"]))
         except DatasetError as err:
@@ -367,7 +370,7 @@ def evaluate(
         history = tuple(
             tuple(render(d) for d in diagnostics) for _, diagnostics in outcome.raw_history
         )
-        success = outcome.verified and len(outcome.program.statements) >= 1
+        success = outcome.verified
         accurate = success and evaluate_accuracy(run(outcome.program, world), task.expectation)
         return TaskResult(task.id, task.group, success, accurate, outcome.passes, history)
 

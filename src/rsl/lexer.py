@@ -41,7 +41,7 @@ import sys
 from .diagnostics import Category, Diagnostic
 from .syntax import (
     ANY_CASE_KEYWORD, IDENTIFIER, KEYWORDS, NUMERAL, STATEMENT_KINDS, SourceSpan, Token, TokenKind,
-    frozen_slots, slot_builder,
+    frozen_slots,
 )
 
 # Enum members as module globals: a lookup on the class runs EnumType's hook.
@@ -132,9 +132,6 @@ class LexOutcome:
     diagnostics: tuple[Diagnostic, ...]
 
 
-_lex_outcome = slot_builder(LexOutcome)
-
-
 def lex(source: str) -> LexOutcome:
     """Scan source into tokens plus all lexical diagnostics found.
 
@@ -195,4 +192,4 @@ def lex(source: str) -> LexOutcome:
         pos = m.end(group)
     col = len(source) - line_start + 1
     tokens.append(_new(Token, (_END, "", _new(SourceSpan, (line, col, col)), None, None)))
-    return _lex_outcome(tuple(tokens), tuple(diagnostics))
+    return LexOutcome(tuple(tokens), tuple(diagnostics))

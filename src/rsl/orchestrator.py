@@ -4,7 +4,7 @@ A prompt is the system message, the optional shots, and the user task,
 concatenated in that order. The model's reply is reduced to candidate program
 text, verified by the compiler, and on failure the rendered diagnostics are
 appended to the conversation as feedback so the model can regenerate. The
-loop ends at the first verified program or after max_passes attempts.
+loop ends at the first verified non-empty program or after max_passes attempts.
 
 Conversation history accumulates across passes: each feedback message quotes
 only the immediately previous program and its errors, but the transcript
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .diagnostics import Diagnostic, compose_feedback, render
+from .diagnostics import EMPTY_PROGRAM_FEEDBACK, Diagnostic, compose_feedback, render
 from .llm import ChatMessage, LlmError, ModelConfig, Transport, complete
 from .parser import check
 from .syntax import ANY_CASE_KEYWORD, KEYWORDS, Program
@@ -132,7 +132,9 @@ def translate(
     """Run the generate/verify/feedback loop for one task.
 
     Performs at most max_passes completions. Client errors abort the loop as
-    TranslationAborted, annotated with the pass number.
+    TranslationAborted, annotated with the pass number. An empty program is
+    a valid program but not a finished translation: a reply that verifies
+    with no statement gets EMPTY_PROGRAM_FEEDBACK and counts as a failed pass.
     """
     if max_passes < 1:
         raise ValueError("max_passes must be >= 1")
@@ -146,15 +148,16 @@ def translate(
         messages.append(ChatMessage("assistant", reply))
         program_text = extract_rsl(reply)
         outcome = check(program_text)
-        history.append((reply, outcome.diagnostics))
-        if not outcome.diagnostics:
+        diagnostics = outcome.diagnostics
+        history.append((reply, diagnostics))
+        if not diagnostics and outcome.program.statements:
             return LoopOutcome(
                 True, outcome.program, tuple(history), pass_number, tuple(messages)
             )
         if pass_number < max_passes:
-            messages.append(
-                ChatMessage("user", compose_feedback(outcome.diagnostics, program_text))
-            )
+            feedback = (compose_feedback(diagnostics, program_text) if diagnostics
+                        else EMPTY_PROGRAM_FEEDBACK)
+            messages.append(ChatMessage("user", feedback))
     return LoopOutcome(False, None, tuple(history), max_passes, tuple(messages))
 
 

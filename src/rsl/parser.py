@@ -5,8 +5,7 @@ moves forward; there is no backtracking. Match, else diagnose: at a keyword,
 the kinds of the tokens after it are compared with its STATEMENT_KINDS
 entry, parameters with commas between them and then a semicolon, and a
 statement that matches is taken in one step: its Statement is built by
-setting its slots, without the schema re-check of Statement's __post_init__,
-and so are the Program and the ParseOutcome (syntax.slot_builder).
+setting its slots, without the schema re-check of Statement's __post_init__.
 Otherwise the tokens are checked one at a time in a fixed order, so exactly
 one diagnostic fires per statement: parameter kinds in position order, then
 arity, then the terminator. A token that is not a keyword where a statement
@@ -30,7 +29,6 @@ from .syntax import (
     TokenKind,
     acyclic,
     frozen_slots,
-    slot_builder,
 )
 
 # Enum members as module globals, as in lexer.py.
@@ -55,9 +53,7 @@ class ParseOutcome:
     diagnostics: tuple[Diagnostic, ...]
 
 
-_program, _outcome = slot_builder(Program), slot_builder(ParseOutcome)
 _set_verified = Program.__dict__["verified"].__set__
-# Statements are built inline: a builder call each would cost more than its three sets.
 _set_keyword, _set_args, _set_span = (Statement.__dict__[f].__set__ for f in Statement.__slots__)
 
 
@@ -194,7 +190,7 @@ def parse(tokens: tuple[Token, ...], source: str = "") -> ParseOutcome:
             continue
         diagnostics.append(_statement_diagnostic(stream, expected, source, lines))
         _recover(stream)
-    return _outcome(_program(tuple(statements), source, False), tuple(diagnostics))
+    return ParseOutcome(Program(tuple(statements), source), tuple(diagnostics))
 
 
 def validate(program: Program) -> list[Diagnostic]:

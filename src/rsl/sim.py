@@ -36,7 +36,7 @@ from typing import Mapping, NamedTuple
 
 from .syntax import (
     IDENTIFIER_RE, Program, Statement, acyclic, finite_number, frozen_slots, json_document,
-    read_input, render_statement,
+    json_object, read_input, render_statement,
 )
 
 # Slack for boundary grasps: an approach parks the robot exactly reach_offset
@@ -86,10 +86,7 @@ def load_world(text: str) -> World:
     # Integers as floats: one past the float range reads as inf, which World
     # rejects, and one past int's digit limit raises no ValueError here.
     doc = json_document(text, WorldError, "world", parse_int=float)
-    if not isinstance(doc, dict):
-        raise WorldError("world must be a JSON object")
-    if unknown := [key for key in doc if key not in ("objects", "grasp_range", "reach_offset")]:
-        raise WorldError(f"world does not take a key {unknown[0]!r}")
+    json_object(doc, WorldError, "world", ("objects", "grasp_range", "reach_offset"))
     geometry = {k: doc[k] for k in ("grasp_range", "reach_offset") if k in doc}
     return World(doc.get("objects", {}), **geometry)
 

@@ -7,12 +7,13 @@ expressions, conditionals, or loops.
 The lexer makes a few tokens per statement, so the per-token types are cheap
 to build: SourceSpan, Token and Number are immutable named tuples, which also
 compare equal to plain tuples holding the same values. Statement, Program and
-the lexer's and parser's outcomes are frozen_slots classes, which the parser
-and lexer build by setting their slots (slot_builder), not through the
-generated __init__. None of them has a per-instance __dict__.
+the lexer's and parser's outcomes are frozen_slots classes, with no
+per-instance __dict__; the parser builds each Statement by setting its slots,
+not through the generated __init__.
 
 Every input file a user names is read by read_input, and every JSON document
-by json_document, which refuses a key given twice in one object.
+by json_document, which refuses a key given twice in one object; json_object
+refuses an object's key that is not one it takes.
 """
 
 from __future__ import annotations
@@ -85,6 +86,15 @@ def json_document(text: str, error: type[ValueError], what: str, **options):
     if duplicates:
         raise error(f"duplicate key {duplicates[0]!r} in {what}")
     return document
+
+
+def json_object(value, error: type[ValueError], what: str, keys) -> None:
+    """Raise error("<what> must be a JSON object") unless value is a dict,
+    and error("<what> does not take a key 'k'") for its first key not in keys."""
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object")
+    if unknown := [key for key in value if key not in keys]:
+        raise error(f"{what} does not take a key {unknown[0]!r}")
 
 
 def read_input(path, error: type[ValueError], what: str, load=str):
@@ -174,24 +184,6 @@ def frozen_slots(cls):
     cls = dataclass(frozen=True, slots=True)(cls)
     cls.__setattr__ = cls.__delattr__ = _refuse_mutation
     return cls
-
-
-def slot_builder(cls):
-    """A function of the field values of cls, a frozen_slots class, in field
-    order, that builds an instance by setting each slot in turn: without the
-    generated __init__, its object.__setattr__ per field and any
-    __post_init__ check, for callers that have made sure of the values."""
-    setters = [cls.__dict__[name].__set__ for name in cls.__slots__]
-
-    def build(*values):
-        instance = object.__new__(cls)
-        index = 0  # not zip or enumerate, whose iterator per call costs more
-        for setter in setters:
-            setter(instance, values[index])
-            index += 1
-        return instance
-
-    return build
 
 
 @frozen_slots

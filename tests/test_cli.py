@@ -30,6 +30,13 @@ def test_check_ok_is_silent(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("text", ["", "// nothing to do\n"], ids=["empty", "comment-only"])
+def test_check_of_a_program_with_no_statement_is_clean(tmp_path, capsys, text):
+    # An empty program is valid; only translate asks for a statement.
+    assert main(["check", write(tmp_path, "empty.rsl", text)]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_check_reports_command_error(tmp_path, capsys):
     path = write(tmp_path, "bad.rsl", "move 1.5;")
     assert main(["check", path]) == 1
@@ -206,6 +213,16 @@ def test_translate_exhaustion_exit_one(tmp_path, capsys):
     )
     assert code == 1
     assert "not verified after 2" in capsys.readouterr().err
+
+
+def test_translate_of_a_reply_with_no_statement_exits_one(tmp_path, capsys):
+    responses = write(tmp_path, "responses.json", json.dumps(["// nothing to do"]))
+    code = main(
+        ["translate", "Approach the door.", "--backend", "scripted", "--responses", responses,
+         "--max-passes", "1"]
+    )
+    assert code == 1
+    assert "not verified after 1" in capsys.readouterr().err
 
 
 def test_translate_zero_shot_prompt_shape(tmp_path, capsys):

@@ -230,6 +230,12 @@ BAD_DATASETS = {
     "empty-text": (with_first_task(text=""), "task s01: needs a non-empty text"),
     "no-expectation": (with_first_task(expectation=None), "task s01: needs an expectation"),
     "no-predicates-list": (with_first_task(expectation={}), "task s01: needs an expectation"),
+    "task-notes": (with_first_task(notes="draft"), "task s01 does not take a key 'notes'"),
+    "task-predicates": (with_first_task(predicates=[]), "task s01 does not take a key 'predicates'"),
+    "expectation-predicatez": (
+        with_first_task(expectation={"predicates": [{"kind": "perceived"}], "predicatez": []}),
+        "task s01: expectation does not take a key 'predicatez'",
+    ),
 }
 
 

@@ -1,6 +1,8 @@
 """Every name a module of the package or of its tests imports is used in
 that module, so an edit that frees an import also removes it. The package's
-__init__.py is left out: its imports are the package's public names."""
+__init__.py is left out: its imports are the package's public names. Every
+private name a package module defines at module level is read in it too, so
+an edit that frees a helper or an alias also removes it."""
 
 import ast
 from pathlib import Path
@@ -10,7 +12,8 @@ import pytest
 import rsl
 
 PACKAGE = Path(rsl.__file__).parent
-MODULES = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in PACKAGE_MODULES if p.name != "__init__.py"]
 MODULES += Path(__file__).parent.glob("*.py")
 
 
@@ -29,6 +32,28 @@ def unused_imports(source):
     return [name for name in imported if name not in read]
 
 
+def unread_private_names(source):
+    """The private names (one leading underscore) that source assigns, or
+    defines with def or class, at module level and that no name in it reads."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                defined += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        name for name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
 @pytest.mark.parametrize("path", sorted(MODULES), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -40,3 +65,17 @@ def test_unused_import_is_found():
         "from .syntax import DUMMY_SPAN, Token as T\n\ndef f(t: T):\n    return os.sep\n"
     )
     assert unused_imports(source) == ["re", "DUMMY_SPAN"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_module_reads_every_private_name(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_unread_private_name_is_found():
+    source = (
+        "__version__ = '1'\n_build = make(Outcome)\n_used, _spare = 1, 2\n"
+        "_count: int = 0\n\ndef _helper():\n    return _used + _count\n\n"
+        "class _Unused:\n    pass\n\ndef public():\n    _local = 1\n    return _local + _helper()\n"
+    )
+    assert unread_private_names(source) == ["_build", "_spare", "_Unused"]

@@ -20,7 +20,7 @@ from rsl import (
     render_program,
     translate,
 )
-from rsl.diagnostics import render
+from rsl.diagnostics import EMPTY_PROGRAM_FEEDBACK, render
 
 CONFIG = ModelConfig(base_url="http://offline.invalid", model_name="scripted")
 SYSTEM = "You translate tasks into robot programs."
@@ -161,6 +161,16 @@ def test_translate_repairs_missing_semicolon():
     second_request = transport.requests[1]
     assert second_request[-1]["role"] == "user"
     assert render(first_diags[0]) in second_request[-1]["content"]
+
+
+def test_translate_repairs_a_reply_with_no_statement():
+    # An empty program is a valid program but not a finished translation.
+    transport = ScriptedTransport(["// nothing to do", "approach door;"])
+    outcome = translate(parts(), CONFIG, 5, transport=transport)
+    assert outcome.verified and outcome.passes == 2
+    assert outcome.raw_history[0][1] == ()
+    assert render_program(outcome.program) == "approach door;"
+    assert transport.requests[1][-1] == {"role": "user", "content": EMPTY_PROGRAM_FEEDBACK}
 
 
 def test_translate_exhaustion():
