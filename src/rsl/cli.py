@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .codegen import default_manifest, generate, load_manifest_file
-from .diagnostics import render
+from .diagnostics import EMPTY_PROGRAM, render
 from .harness import (
     FailFirstTransport, OracleTransport, evaluate, load_default_tasks, load_tasks, report_to_csv,
     report_to_json,
@@ -182,8 +182,8 @@ def cmd_translate(args) -> int:
         )
     if not outcome.verified:
         if not args.json:
-            for diagnostic in last_diagnostics:
-                print(render(diagnostic), file=sys.stderr)
+            for line in [render(d) for d in last_diagnostics] or [EMPTY_PROGRAM]:
+                print(line, file=sys.stderr)
             print(f"not verified after {outcome.passes} pass(es)", file=sys.stderr)
         return EXIT_DOMAIN
     if not args.json:

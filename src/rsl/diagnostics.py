@@ -83,8 +83,9 @@ FEEDBACK_INSTRUCTION = (
     "Regenerate a corrected RSL program only: output the full program, "
     "one statement per line, with no explanations."
 )
-# The repair loop's one feedback line for a reply that verifies but has no statement.
-EMPTY_PROGRAM_FEEDBACK = "The previously generated program had no statement. " + FEEDBACK_INSTRUCTION
+# A reply that verifies with no statement: what it lacks, and the loop's one feedback line.
+EMPTY_PROGRAM = "The previously generated program had no statement."
+EMPTY_PROGRAM_FEEDBACK = EMPTY_PROGRAM + " " + FEEDBACK_INSTRUCTION
 
 
 def compose_feedback(diagnostics: Sequence[Diagnostic], program: str) -> str:

@@ -1,7 +1,8 @@
 """LL(1) parse of the token stream into a Program, plus semantic validation.
 
-Statement dispatch inspects exactly one lookahead token and the stream only
-moves forward; there is no backtracking. Match, else diagnose: at a keyword,
+parse walks lex()'s token tuple by index. Statement dispatch inspects
+exactly one lookahead token, and the position only moves forward, one skip
+per statement; there is no backtracking. Match, else diagnose: at a keyword,
 the kinds of the tokens after it are compared with its STATEMENT_KINDS
 entry, parameters with commas between them and then a semicolon, and a
 statement that matches is taken in one step: its Statement is built by
@@ -9,9 +10,9 @@ setting its slots, without the schema re-check of Statement's __post_init__.
 Otherwise the tokens are checked one at a time in a fixed order, so exactly
 one diagnostic fires per statement: parameter kinds in position order, then
 arity, then the terminator. A token that is not a keyword where a statement
-starts is a Command diagnostic. After a diagnostic the parser skips to the
-next semicolon or keyword and continues, so a single pass reports every
-broken statement.
+starts is a Command diagnostic. After a diagnostic the walk resumes past the
+next semicolon or at the next keyword, so one pass reports every broken
+statement.
 """
 
 from __future__ import annotations
@@ -58,28 +59,14 @@ _set_keyword, _set_args, _set_span = (Statement.__dict__[f].__set__ for f in Sta
 
 
 class TokenStream:
-    """Forward-only cursor over lex()'s tokens, a tuple that ends in END."""
+    """parse's forward-only position in lex()'s tokens. parse moves it only
+    with skip, one step per statement, so a test can watch every move."""
 
-    def __init__(self, tokens: tuple[Token, ...]) -> None:
-        self._tokens = tokens
-        self._pos = 0
-
-    @property
-    def pos(self) -> int:
-        return self._pos
-
-    def peek(self) -> Token:
-        return self._tokens[self._pos]
-
-    def advance(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind is not _END:
-            self._pos += 1
-        return tok
+    pos = 0
 
     def skip(self, count: int) -> None:
         """Move past count tokens that are known to come before END."""
-        self._pos += count
+        self.pos += count
 
 
 def _statement_text(consumed: tuple[Token, ...], source: str, lines: list[str]) -> str:
@@ -110,43 +97,41 @@ def _statement_span(first: Token, last: Token) -> SourceSpan:
     return _new(SourceSpan, (span[0], span[1], end[2])) if span[0] == end[0] else span
 
 
-def _recover(stream: TokenStream) -> None:
-    """Skip to the next statement boundary; swallow the semicolon if that is
-    what stopped us."""
-    while stream.peek().kind not in _SYNC_KINDS:
-        stream.advance()
-    if stream.peek().kind is _SEMICOLON:
-        stream.advance()
+def _recover(kinds: list[TokenKind], index: int) -> int:
+    """The index past the next statement boundary at or after index: that of
+    the next keyword or END, or the one past the next semicolon."""
+    while (kind := kinds[index]) not in _SYNC_KINDS:
+        index += 1
+    return index + 1 if kind is _SEMICOLON else index
 
 
 def _statement_diagnostic(
-    stream: TokenStream, expected: list[TokenKind], source: str, lines: list[str]
-) -> Diagnostic:
-    """The one diagnostic of a statement whose tokens after the keyword are
-    not all of the expected kinds, at the first token that is not. The walk
-    ends at the semicolon slot, the last, at the latest. A missing semicolon,
-    or a mistake found at END where there is nothing to point at, names the
-    statement parsed so far."""
-    first = stream.pos
-    stream.advance()
+    tokens: tuple[Token, ...], first: int, expected: list[TokenKind], source: str, lines: list[str]
+) -> tuple[Diagnostic, int]:
+    """The one diagnostic of the statement at keyword tokens[first] whose later
+    tokens are not all of the expected kinds, at the first that is not, and its
+    index. The walk ends at the semicolon slot, the last, at the latest. A
+    missing semicolon, or a mistake found at END where there is nothing to
+    point at, names the statement parsed so far."""
+    index = first + 1
     for kind in expected:
-        tok = stream.peek()
+        tok = tokens[index]
         if kind is _SEMICOLON:
             # Not a semicolon, or the statement would have matched: an argument
             # too many, or KEYWORD or END, so it simply was not terminated.
-            category = _BAD_QUANTITY if tok.kind in _ARGUMENT_KINDS else _BAD_SEMICOLON
-        elif tok.kind is kind:
-            stream.advance()
+            category = _BAD_QUANTITY if tok[0] in _ARGUMENT_KINDS else _BAD_SEMICOLON
+        elif tok[0] is kind:
+            index += 1
             continue
-        elif kind is not _COMMA and tok.kind in _ARGUMENT_KINDS:
+        elif kind is not _COMMA and tok[0] in _ARGUMENT_KINDS:
             category = _BAD_PARAMETER  # a wrong argument
         else:  # a missing comma, or SEMICOLON, KEYWORD or END too early
             category = _BAD_QUANTITY
-        if tok.kind is not _END and category is not _BAD_SEMICOLON:
-            return _new(Diagnostic, (category, tok.span, tok.text))
-        consumed = stream._tokens[first : stream.pos]
+        if tok[0] is not _END and category is not _BAD_SEMICOLON:
+            return _new(Diagnostic, (category, tok[2], tok[1])), index
+        consumed = tokens[first:index]
         span = _statement_span(consumed[0], consumed[-1])
-        return _new(Diagnostic, (category, span, _statement_text(consumed, source, lines)))
+        return _new(Diagnostic, (category, span, _statement_text(consumed, source, lines))), index
 
 
 def parse(tokens: tuple[Token, ...], source: str = "") -> ParseOutcome:
@@ -155,19 +140,18 @@ def parse(tokens: tuple[Token, ...], source: str = "") -> ParseOutcome:
     NUMBER token its value. Callers gate on lexical diagnostics themselves
     (check() does). The optional source lets missing-terminator diagnostics
     quote the statement verbatim."""
-    stream = TokenStream(tokens)
-    tokens = stream._tokens
+    stream = TokenStream()
     # Token fields are read by index (kind, text, span, keyword, value):
     # Python 3.11 specialises attribute loads on slots, not on a named tuple.
     kinds = [tok[0] for tok in tokens]
     lines: list[str] = []
     statements: list[Statement] = []
     diagnostics: list[Diagnostic] = []
-    while (kind := kinds[first := stream._pos]) is not _END:
+    while (kind := kinds[first := stream.pos]) is not _END:
         tok = tokens[first]
         if kind is not _KEYWORD:
             diagnostics.append(_new(Diagnostic, (_BAD_COMMAND, tok[2], tok[1])))
-            _recover(stream)
+            stream.skip(_recover(kinds, first) - first)
             continue
         # Match, else diagnose: a statement whose tokens are all of the
         # expected kinds is taken in one step.
@@ -188,8 +172,9 @@ def parse(tokens: tuple[Token, ...], source: str = "") -> ParseOutcome:
             _set_span(statement, _statement_span(tok, tokens[end]))
             stream.skip(end + 1 - first)
             continue
-        diagnostics.append(_statement_diagnostic(stream, expected, source, lines))
-        _recover(stream)
+        diagnostic, index = _statement_diagnostic(tokens, first, expected, source, lines)
+        diagnostics.append(diagnostic)
+        stream.skip(_recover(kinds, index) - first)
     return ParseOutcome(Program(tuple(statements), source), tuple(diagnostics))
 
 

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import rsl
 from rsl.cli import main
@@ -222,7 +224,10 @@ def test_translate_of_a_reply_with_no_statement_exits_one(tmp_path, capsys):
          "--max-passes", "1"]
     )
     assert code == 1
-    assert "not verified after 1" in capsys.readouterr().err
+    # No diagnostic to print, so the one line says why the reply was refused.
+    assert capsys.readouterr().err.splitlines() == [
+        "The previously generated program had no statement.", "not verified after 1 pass(es)",
+    ]
 
 
 def test_translate_zero_shot_prompt_shape(tmp_path, capsys):
@@ -452,3 +457,53 @@ def test_load_errors_name_the_file(argv, content, tmp_path, capsys, monkeypatch)
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1 and err_lines[0].startswith("error:"), err_lines
     assert str(bad) in err_lines[0], err_lines
+
+
+# The exit-code contract on any file, for each option that reads one: FILE is
+# the file under test, OK a clean source, and every output goes under OUT.
+FILE_OPTIONS = {
+    "check-source": ["check", "FILE"],
+    "compile-source": ["compile", "FILE", "-o", "OUT/c.py"],
+    "run-source": ["run", "FILE", "--trace", "OUT/t.jsonl"],
+    "run-world": ["run", "OK", "--world", "FILE", "--trace", "OUT/t.jsonl"],
+    "compile-manifest": ["compile", "OK", "--manifest", "FILE", "-o", "OUT/c.py"],
+    "eval-dataset": [
+        "eval", "--backend", "oracle", "--max-passes", "1", "--dataset", "FILE",
+        "--report-json", "OUT/r.json", "--report-csv", "OUT/r.csv",
+    ],
+    "translate-responses": ["translate", "t", "--backend", "scripted", "--responses", "FILE"],
+}
+SHIPPED = [(Path(rsl.__file__).parent / "data" / name).read_bytes()
+           for name in ("world.json", "manifest.json", "tasks.json")]
+
+
+@st.composite
+def shipped_mutants(draw):
+    """A shipped document with one span of up to 8 bytes replaced by up to 8
+    drawn bytes, or by drawn text, which keeps it UTF-8: a deletion, an
+    insertion or an overwrite."""
+    base = draw(st.sampled_from(SHIPPED))
+    start = draw(st.integers(0, len(base)))
+    end = draw(st.integers(start, min(len(base), start + 8)))
+    patch = draw(st.binary(max_size=8) | st.text(max_size=8).map(str.encode))
+    return base[:start] + patch + base[end:]
+
+
+@pytest.mark.parametrize("argv", FILE_OPTIONS.values(), ids=FILE_OPTIONS.keys())
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=st.binary(max_size=64) | shipped_mutants())
+@example(content=DEEP_JSON)
+def test_any_file_exits_zero_to_three(argv, content, tmp_path, capsys):
+    # Each example overwrites FILE and OUT's files, so examples share tmp_path.
+    (tmp_path / "out").mkdir(exist_ok=True)
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    paths = {"FILE": str(path), "OK": write(tmp_path, "ok.rsl", "forward 1;")}
+    argv = [paths.get(a, a.replace("OUT", str(tmp_path / "out"))) for a in argv]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), (code, err)
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert "Traceback" not in err

@@ -2,7 +2,8 @@
 that module, so an edit that frees an import also removes it. The package's
 __init__.py is left out: its imports are the package's public names. Every
 private name a package module defines at module level is read in it too, so
-an edit that frees a helper or an alias also removes it."""
+an edit that frees a helper or an alias also removes it. And no package
+module reaches into another object's private fields."""
 
 import ast
 from pathlib import Path
@@ -54,6 +55,24 @@ def unread_private_names(source):
     ]
 
 
+# The documented namedtuple API: public names, prefixed so that no field name clashes.
+NAMEDTUPLE_API = {"_asdict", "_field_defaults", "_fields", "_make", "_replace"}
+
+
+def private_field_uses(source):
+    """The (line, name) of each attribute with a leading underscore that
+    source reads or sets on anything but self or cls, in line order. Dunder
+    names, enum sunder names such as _value_, and the namedtuple API are
+    exempt."""
+    return sorted(
+        (node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_") and not node.attr.endswith("_")
+        and node.attr not in NAMEDTUPLE_API
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    )
+
+
 @pytest.mark.parametrize("path", sorted(MODULES), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -79,3 +98,19 @@ def test_unread_private_name_is_found():
         "class _Unused:\n    pass\n\ndef public():\n    _local = 1\n    return _local + _helper()\n"
     )
     assert unread_private_names(source) == ["_build", "_spare", "_Unused"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_module_uses_no_private_field_of_another_object(path):
+    assert private_field_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_field_use_is_found():
+    source = (
+        "class Stream:\n    def __init__(self):\n        self._pos = 0\n\n"
+        "    @classmethod\n    def make(cls):\n        return cls._build()\n\n"
+        "def parse(stream, category, record):\n"
+        "    stream._pos += category._value_ + len(type(record)._fields)\n"
+        "    return stream._tokens[stream.__class__.__name__]\n"
+    )
+    assert private_field_uses(source) == [(10, "_pos"), (11, "_tokens")]
