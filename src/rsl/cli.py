@@ -86,9 +86,9 @@ def _make_backend(args) -> tuple[ModelConfig, object]:
     return config, ScriptedTransport(responses)
 
 
-def _report(outcome, as_json: bool) -> None:
+def _report(outcome, as_json: bool) -> int:
     """check's verdict: with --json the document on stdout, else each
-    diagnostic rendered on stderr."""
+    diagnostic rendered on stderr. Returns the exit code."""
     if as_json:
         _print_json(
             {
@@ -100,20 +100,18 @@ def _report(outcome, as_json: bool) -> None:
     else:
         for diagnostic in outcome.diagnostics:
             print(render(diagnostic), file=sys.stderr)
+    return EXIT_DOMAIN if outcome.diagnostics else EXIT_OK
 
 
 def cmd_check(args) -> int:
-    outcome = check(read_input(args.source, ValueError, "source"))
-    _report(outcome, args.json)
-    return EXIT_DOMAIN if outcome.diagnostics else EXIT_OK
+    return _report(check(read_input(args.source, ValueError, "source")), args.json)
 
 
 def cmd_compile(args) -> int:
     outcome = check(read_input(args.source, ValueError, "source"))
     manifest = load_manifest_file(args.manifest) if args.manifest else default_manifest()
     if outcome.diagnostics:
-        _report(outcome, args.json)
-        return EXIT_DOMAIN
+        return _report(outcome, args.json)
     emitted = generate(outcome.program, manifest)
     if args.output:
         Path(args.output).write_text(emitted, encoding="utf-8")
@@ -130,8 +128,7 @@ def cmd_run(args) -> int:
     outcome = check(read_input(args.source, ValueError, "source"))
     world = load_world_file(args.world) if args.world else default_world()
     if outcome.diagnostics:
-        _report(outcome, args.json)
-        return EXIT_DOMAIN
+        return _report(outcome, args.json)
     result = run(outcome.program, world)
     failed = isinstance(result, SimError)
     state = result.state if failed else result
@@ -243,46 +240,36 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Robot Skill Language compiler, simulator, and translation loop",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    sub = {}
+    for name, func, positional, help_text in [
+        ("check", cmd_check, "source", "verify a .rsl source file"),
+        ("compile", cmd_compile, "source", "compile a verified program"),
+        ("run", cmd_run, "source", "execute a program in the simulator"),
+        ("translate", cmd_translate, "task",
+         "translate a natural-language task into a verified program"),
+        ("eval", cmd_eval, None, "run the 25-task benchmark"),
+    ]:
+        sub[name] = subparsers.add_parser(name, help=help_text)
+        sub[name].set_defaults(func=func)
+        if positional:
+            sub[name].add_argument(positional)
 
-    p_check = subparsers.add_parser("check", help="verify a .rsl source file")
-    p_check.add_argument("source")
-    p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(func=cmd_check)
-
-    p_compile = subparsers.add_parser("compile", help="compile a verified program")
-    p_compile.add_argument("source")
-    p_compile.add_argument("--manifest", help="skill manifest JSON (default: built-in)")
-    p_compile.add_argument("-o", "--output", help="write here instead of stdout")
-    p_compile.add_argument("--json", action="store_true")
-    p_compile.set_defaults(func=cmd_compile)
-
-    p_run = subparsers.add_parser("run", help="execute a program in the simulator")
-    p_run.add_argument("source")
-    p_run.add_argument("--world", help="world JSON (default: built-in benchmark world)")
-    p_run.add_argument("--trace", help="trace output path (default: SOURCE.trace.jsonl)")
-    p_run.add_argument("--json", action="store_true")
-    p_run.set_defaults(func=cmd_run)
-
-    p_translate = subparsers.add_parser(
-        "translate", help="translate a natural-language task into a verified program"
-    )
-    p_translate.add_argument("task")
-    _add_backend_flags(p_translate)
-    p_translate.add_argument("--compile-to", help="also compile the verified program here")
-    p_translate.add_argument("--manifest", help="manifest for --compile-to")
-    p_translate.add_argument("--transcript", help="write the chat transcript JSON here")
-    p_translate.add_argument("--json", action="store_true")
-    p_translate.set_defaults(func=cmd_translate)
-
-    p_eval = subparsers.add_parser("eval", help="run the 25-task benchmark")
-    p_eval.add_argument("--dataset", help="task dataset JSON (default: built-in)")
-    p_eval.add_argument("--world", help="world JSON (default: built-in)")
-    _add_backend_flags(p_eval)
-    p_eval.add_argument("--parallelism", type=int, default=1)
-    p_eval.add_argument("--report-json", default="eval_report.json")
-    p_eval.add_argument("--report-csv", default="eval_report.csv")
-    p_eval.add_argument("--json", action="store_true")
-    p_eval.set_defaults(func=cmd_eval)
+    sub["compile"].add_argument("--manifest", help="skill manifest JSON (default: built-in)")
+    sub["compile"].add_argument("-o", "--output", help="write here instead of stdout")
+    sub["run"].add_argument("--world", help="world JSON (default: built-in benchmark world)")
+    sub["run"].add_argument("--trace", help="trace output path (default: SOURCE.trace.jsonl)")
+    _add_backend_flags(sub["translate"])
+    sub["translate"].add_argument("--compile-to", help="also compile the verified program here")
+    sub["translate"].add_argument("--manifest", help="manifest for --compile-to")
+    sub["translate"].add_argument("--transcript", help="write the chat transcript JSON here")
+    sub["eval"].add_argument("--dataset", help="task dataset JSON (default: built-in)")
+    sub["eval"].add_argument("--world", help="world JSON (default: built-in)")
+    _add_backend_flags(sub["eval"])
+    sub["eval"].add_argument("--parallelism", type=int, default=1)
+    sub["eval"].add_argument("--report-json", default="eval_report.json")
+    sub["eval"].add_argument("--report-csv", default="eval_report.csv")
+    for command in sub.values():
+        command.add_argument("--json", action="store_true")
     return parser
 
 

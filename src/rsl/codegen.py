@@ -108,8 +108,6 @@ def load_manifest(text: str) -> SkillManifest:
 
     bindings: dict[str, SkillBinding] = {}
     for keyword, entry in raw_bindings.items():
-        if not isinstance(entry, dict):
-            raise ManifestError(f"binding for {keyword!r} must be an object")
         json_object(entry, ManifestError, f"binding for {keyword!r}",
                     ("module", "function", "params"))
         bindings[keyword] = SkillBinding(

@@ -146,9 +146,9 @@ def _task_records(text: str) -> list[TaskRecord]:
             raise DatasetError(f"duplicate task id {task_id!r}")
         seen_ids.add(task_id)
         json_object(entry, DatasetError, f"task {task_id}", ("id", "group", "text", "expectation"))
-        if group not in GROUP_SIZES:
+        if not isinstance(group, str) or group not in GROUP_SIZES:
             raise DatasetError(f"task {task_id}: unknown group {group!r}")
-        if not isinstance(text, str) or not text:
+        if not isinstance(text, str) or not text.strip():
             raise DatasetError(f"task {task_id}: needs a non-empty text")
         if not isinstance(expectation, dict) or not isinstance(
             expectation.get("predicates"), list

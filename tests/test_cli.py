@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rsl
@@ -413,6 +413,9 @@ def test_module_entry_point_exits_two_on_non_utf8_source(tmp_path):
 # is named in the one error line. FILE holds the given bytes. JSON nested
 # deeper than the decoder's recursion can go is invalid JSON, not a traceback.
 DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+DATA = Path(rsl.__file__).parent / "data"
+SHIPPED = {name: (DATA / name).read_bytes() for name in ("world.json", "manifest.json", "tasks.json")}
+TASKS = json.loads(SHIPPED["tasks.json"])
 NAMED_FILE_MISTAKES = {
     "run-world-non-utf8": (["run", "OK", "--world", "FILE"], b"\xff"),
     "eval-world-non-utf8": (["eval", "--backend", "oracle", "--world", "FILE"], b"\xff"),
@@ -442,6 +445,10 @@ NAMED_FILE_MISTAKES = {
     "translate-responses-too-deep": (
         ["translate", "t", "--backend", "scripted", "--responses", "FILE"], DEEP_JSON
     ),
+    "eval-dataset-group-a-list": (
+        ["eval", "--backend", "oracle", "--dataset", "FILE"],
+        json.dumps([{**TASKS[0], "group": []}, *TASKS[1:]]).encode(),
+    ),
 }
 
 
@@ -461,49 +468,64 @@ def test_load_errors_name_the_file(argv, content, tmp_path, capsys, monkeypatch)
 
 # The exit-code contract on any file, for each option that reads one: FILE is
 # the file under test, OK a clean source, and every output goes under OUT.
+# Each JSON option's mutants start from a document it loads, so they reach
+# its deeper checks; a source option's start from any of them.
+RESPONSES = json.dumps(
+    list(json.loads((DATA / "oracle_programs.json").read_text("utf-8")).values())[:3]
+).encode()
 FILE_OPTIONS = {
-    "check-source": ["check", "FILE"],
-    "compile-source": ["compile", "FILE", "-o", "OUT/c.py"],
-    "run-source": ["run", "FILE", "--trace", "OUT/t.jsonl"],
-    "run-world": ["run", "OK", "--world", "FILE", "--trace", "OUT/t.jsonl"],
-    "compile-manifest": ["compile", "OK", "--manifest", "FILE", "-o", "OUT/c.py"],
-    "eval-dataset": [
-        "eval", "--backend", "oracle", "--max-passes", "1", "--dataset", "FILE",
-        "--report-json", "OUT/r.json", "--report-csv", "OUT/r.csv",
-    ],
-    "translate-responses": ["translate", "t", "--backend", "scripted", "--responses", "FILE"],
+    "check-source": (["check", "FILE"], list(SHIPPED.values())),
+    "compile-source": (["compile", "FILE", "-o", "OUT/c.py"], list(SHIPPED.values())),
+    "run-source": (["run", "FILE", "--trace", "OUT/t.jsonl"], list(SHIPPED.values())),
+    "run-world": (
+        ["run", "OK", "--world", "FILE", "--trace", "OUT/t.jsonl"], [SHIPPED["world.json"]]
+    ),
+    "compile-manifest": (
+        ["compile", "OK", "--manifest", "FILE", "-o", "OUT/c.py"], [SHIPPED["manifest.json"]]
+    ),
+    "eval-dataset": (
+        [
+            "eval", "--backend", "oracle", "--max-passes", "1", "--dataset", "FILE",
+            "--report-json", "OUT/r.json", "--report-csv", "OUT/r.csv",
+        ],
+        [SHIPPED["tasks.json"]],
+    ),
+    "translate-responses": (
+        ["translate", "t", "--backend", "scripted", "--responses", "FILE"], [RESPONSES]
+    ),
 }
-SHIPPED = [(Path(rsl.__file__).parent / "data" / name).read_bytes()
-           for name in ("world.json", "manifest.json", "tasks.json")]
 
 
 @st.composite
-def shipped_mutants(draw):
-    """A shipped document with one span of up to 8 bytes replaced by up to 8
-    drawn bytes, or by drawn text, which keeps it UTF-8: a deletion, an
-    insertion or an overwrite."""
-    base = draw(st.sampled_from(SHIPPED))
+def mutants(draw, bases):
+    """One of bases with one span of up to 8 bytes replaced by up to 8 drawn
+    bytes, or by drawn text, which keeps it UTF-8: a deletion, an insertion
+    or an overwrite."""
+    base = draw(st.sampled_from(bases))
     start = draw(st.integers(0, len(base)))
     end = draw(st.integers(start, min(len(base), start + 8)))
     patch = draw(st.binary(max_size=8) | st.text(max_size=8).map(str.encode))
     return base[:start] + patch + base[end:]
 
 
-@pytest.mark.parametrize("argv", FILE_OPTIONS.values(), ids=FILE_OPTIONS.keys())
-@settings(max_examples=30, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(content=st.binary(max_size=64) | shipped_mutants())
-@example(content=DEEP_JSON)
-def test_any_file_exits_zero_to_three(argv, content, tmp_path, capsys):
+@pytest.mark.parametrize("argv, bases", FILE_OPTIONS.values(), ids=FILE_OPTIONS.keys())
+def test_any_file_exits_zero_to_three(argv, bases, tmp_path, capsys):
     # Each example overwrites FILE and OUT's files, so examples share tmp_path.
-    (tmp_path / "out").mkdir(exist_ok=True)
+    (tmp_path / "out").mkdir()
     path = tmp_path / "input"
-    path.write_bytes(content)
     paths = {"FILE": str(path), "OK": write(tmp_path, "ok.rsl", "forward 1;")}
     argv = [paths.get(a, a.replace("OUT", str(tmp_path / "out"))) for a in argv]
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code in (0, 1, 2, 3), (code, err)
-    if code == 2:
-        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
-        assert "Traceback" not in err
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(content=st.binary(max_size=64) | mutants(bases))
+    @example(content=DEEP_JSON)
+    def exits_zero_to_three(content):
+        path.write_bytes(content)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (code, err)
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+            assert "Traceback" not in err
+
+    exits_zero_to_three()

@@ -147,7 +147,7 @@ def test_malformed_json_rejected():
         ({**manifest_doc(), "preamble": [1]}, "preamble must be a list of strings"),
         (without(manifest_doc(), "bindings"), 'requires a "bindings" object'),
         ({"bindings": []}, 'requires a "bindings" object'),
-        ({"bindings": {"forward": "robot_interface.forward"}}, "'forward' must be an object"),
+        ({"bindings": {"forward": "robot_interface.forward"}}, "'forward' must be a JSON object"),
         ({"bindings": {"forward": without(dict(forward), "module")}}, "needs a module"),
         ({"bindings": {"forward": {**forward, "module": ""}}}, "needs a module"),
         ({"bindings": {"forward": without(dict(forward), "function")}}, "needs a function"),

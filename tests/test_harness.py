@@ -228,6 +228,9 @@ BAD_DATASETS = {
     "no-id": (with_first_task(id=None), "each task needs a non-empty string id"),
     "no-text": (with_first_task(text=None), "task s01: needs a non-empty text"),
     "empty-text": (with_first_task(text=""), "task s01: needs a non-empty text"),
+    "blank-text": (with_first_task(text="   "), "task s01: needs a non-empty text"),
+    "group-a-list": (with_first_task(group=[]), "task s01: unknown group []"),
+    "group-an-object": (with_first_task(group={}), "task s01: unknown group {}"),
     "no-expectation": (with_first_task(expectation=None), "task s01: needs an expectation"),
     "no-predicates-list": (with_first_task(expectation={}), "task s01: needs an expectation"),
     "task-notes": (with_first_task(notes="draft"), "task s01 does not take a key 'notes'"),
@@ -243,6 +246,16 @@ BAD_DATASETS = {
 def test_bad_predicate_rejected(tmp_path, change, message):
     with pytest.raises(DatasetError, match=re.escape(message)):
         load_tasks(write_dataset(tmp_path, change(default_records())))
+
+
+@pytest.mark.parametrize("field", ["id", "group", "text", "expectation"])
+def test_any_json_value_in_a_task_field_is_a_dataset_error(tmp_path, field):
+    # Any other exception would leave the CLI as a traceback, not exit 2.
+    for value in ([], {}, None, 1, True, ""):
+        records = default_records()
+        records[0][field] = value
+        with pytest.raises(DatasetError):
+            load_tasks(write_dataset(tmp_path, records))
 
 
 @pytest.mark.parametrize("pred, message", BAD_PREDICATES.values(), ids=BAD_PREDICATES.keys())
