@@ -167,7 +167,7 @@ def cmd_translate(args) -> int:
     outcome = translate(parts, config, args.max_passes, transport=transport)
     if args.transcript:
         Path(args.transcript).write_text(transcript_to_json(outcome.transcript), encoding="utf-8")
-    last_diagnostics = outcome.raw_history[-1][1] if outcome.raw_history else ()
+    last_diagnostics = outcome.raw_history[-1][1]
     if args.json:
         _print_json(
             {

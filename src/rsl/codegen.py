@@ -10,7 +10,6 @@ a "robot_interface" module and emits Python-style calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from keyword import iskeyword
 from types import MappingProxyType
@@ -19,8 +18,8 @@ from typing import Mapping
 from .diagnostics import render
 from .parser import check
 from .syntax import (
-    IDENTIFIER_RE, Number, Program, STATEMENT_SCHEMAS, json_document, json_object, read_input,
-    render_program,
+    IDENTIFIER_RE, Number, Program, STATEMENT_SCHEMAS, data_path, json_document, json_object,
+    read_input, render_program,
 )
 
 
@@ -122,8 +121,7 @@ def load_manifest_file(path) -> SkillManifest:
 
 def default_manifest() -> SkillManifest:
     """The manifest shipped with the package (robot_interface bindings)."""
-    text = resources.files("rsl.data").joinpath("manifest.json").read_text("utf-8")
-    return load_manifest(text)
+    return load_manifest_file(data_path("manifest.json"))
 
 
 def _call_line(statement, binding: SkillBinding) -> str:

@@ -20,7 +20,6 @@ import io
 import json
 import threading
 from dataclasses import asdict, dataclass, replace
-from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -29,8 +28,8 @@ from .llm import ModelConfig, Transport, TransportError
 from .orchestrator import DEFAULT_MAX_PASSES, PromptParts, TranslationAborted, translate
 from .sim import RobotState, SimError, World, run
 from .syntax import (
-    IDENTIFIER_RE, KEYWORDS, STATEMENT_SCHEMAS, Number, finite_number, json_document, json_object,
-    read_input,
+    IDENTIFIER_RE, KEYWORDS, STATEMENT_SCHEMAS, Number, data_path, finite_number, json_document,
+    json_object, read_input,
 )
 
 GROUP_SIZES = {"simple": 6, "ambiguous": 4, "multi_step": 6, "complex": 9}
@@ -170,8 +169,7 @@ def _task_records(text: str) -> list[TaskRecord]:
 
 
 def load_default_tasks() -> list[TaskRecord]:
-    with resources.as_file(resources.files("rsl.data").joinpath("tasks.json")) as path:
-        return load_tasks(path)
+    return load_tasks(data_path("tasks.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +280,8 @@ class OracleTransport:
     for whichever benchmark task appears in the conversation."""
 
     def __init__(self) -> None:
-        text = resources.files("rsl.data").joinpath("oracle_programs.json").read_text("utf-8")
-        self.programs: dict[str, str] = json.loads(text)
+        path = data_path("oracle_programs.json")
+        self.programs: dict[str, str] = read_input(path, ValueError, "oracle programs", json.loads)
 
     def send(self, config: ModelConfig, payload: dict) -> dict:
         for message in reversed(payload["messages"]):  # the last user message that is a task

@@ -67,7 +67,7 @@ class ModelConfig:
     model_name: str
     api_key: str = ""
     temperature: float = 0.0
-    timeout: float = 30.0
+    timeout: float = 60.0
     max_retries: int = 3
 
     def __post_init__(self) -> None:
@@ -201,4 +201,4 @@ def config_from_env(
         raise ValueError(f"no endpoint: set {ENV_BASE_URL} or pass --base-url")
     if not resolved_model:
         raise ValueError(f"no model: set {ENV_MODEL} or pass --model")
-    return ModelConfig(resolved_url, resolved_model, resolved_key, timeout=60.0)
+    return ModelConfig(resolved_url, resolved_model, resolved_key)

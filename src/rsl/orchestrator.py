@@ -17,13 +17,12 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from importlib import resources
 from typing import Sequence
 
 from .diagnostics import EMPTY_PROGRAM_FEEDBACK, Diagnostic, compose_feedback, render
 from .llm import ChatMessage, LlmError, ModelConfig, Transport, complete
 from .parser import check
-from .syntax import ANY_CASE_KEYWORD, KEYWORDS, Program
+from .syntax import ANY_CASE_KEYWORD, KEYWORDS, Program, data_path, read_input
 
 DEFAULT_MAX_PASSES = 5
 
@@ -172,13 +171,12 @@ def transcript_to_json(transcript: Sequence[ChatMessage]) -> str:
 
 
 def default_system_message() -> str:
-    return resources.files("rsl.data").joinpath("system_message.txt").read_text("utf-8")
+    return read_input(data_path("system_message.txt"), ValueError, "system message")
 
 
 def default_shots() -> tuple[tuple[str, str], ...]:
     """The shipped exemplars: one (task, program) pair per command keyword."""
-    text = resources.files("rsl.data").joinpath("shots.json").read_text("utf-8")
-    entries = json.loads(text)
+    entries = read_input(data_path("shots.json"), ValueError, "shots", json.loads)
     return tuple((entry["task"], entry["rsl"]) for entry in entries)
 
 

@@ -29,14 +29,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .syntax import (
-    IDENTIFIER_RE, Program, Statement, acyclic, finite_number, frozen_slots, json_document,
-    json_object, read_input, render_statement,
+    IDENTIFIER_RE, Program, Statement, acyclic, data_path, finite_number, frozen_slots,
+    json_document, json_object, read_input, render_statement,
 )
 
 # Slack for boundary grasps: an approach parks the robot exactly reach_offset
@@ -97,8 +96,7 @@ def load_world_file(path) -> World:
 
 def default_world() -> World:
     """The benchmark world shipped with the package."""
-    text = resources.files("rsl.data").joinpath("world.json").read_text("utf-8")
-    return load_world(text)
+    return load_world_file(data_path("world.json"))
 
 
 class TraceRecord(NamedTuple):

@@ -11,9 +11,9 @@ the lexer's and parser's outcomes are frozen_slots classes, with no
 per-instance __dict__; the parser builds each Statement by setting its slots,
 not through the generated __init__.
 
-Every input file a user names is read by read_input, and every JSON document
-by json_document, which refuses a key given twice in one object; json_object
-refuses an object's key that is not one it takes.
+Every file rsl reads, shipped or named by a user, is read by read_input, and
+every JSON document by json_document, which refuses a key given twice in one
+object; json_object refuses an object's key that is not one it takes.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import os
 import re
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -105,6 +106,11 @@ def read_input(path, error: type[ValueError], what: str, load=str):
             return load(file.read())
     except (OSError, UnicodeDecodeError, error) as err:
         raise error(f"cannot read {what} {path}: {err}") from err
+
+
+def data_path(name: str) -> str:
+    """The path of the shipped file rsl/data/<name>."""
+    return os.path.join(os.path.dirname(__file__), "data", name)
 
 
 class SourceSpan(NamedTuple):

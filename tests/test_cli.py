@@ -508,6 +508,37 @@ def mutants(draw, bases):
     return base[:start] + patch + base[end:]
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def json_paths(value, path):
+    """path, then the path of every value nested in value, in document order."""
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from json_paths(child, (*path, key))
+
+
+@st.composite
+def value_mutants(draw, bases):
+    """One of bases, parsed as JSON, with the value at one drawn path replaced
+    by a drawn JSON value, dumped again: still JSON, so it reaches the loader's
+    checks of keys and values."""
+    root = [json.loads(draw(st.sampled_from(bases)))]
+    *steps, last = draw(st.sampled_from(list(json_paths(root[0], (0,)))))
+    parent = root
+    for step in steps:
+        parent = parent[step]
+    parent[last] = draw(JSON_VALUES)
+    return json.dumps(root[0]).encode()
+
+
 @pytest.mark.parametrize("argv, bases", FILE_OPTIONS.values(), ids=FILE_OPTIONS.keys())
 def test_any_file_exits_zero_to_three(argv, bases, tmp_path, capsys):
     # Each example overwrites FILE and OUT's files, so examples share tmp_path.
@@ -517,7 +548,7 @@ def test_any_file_exits_zero_to_three(argv, bases, tmp_path, capsys):
     argv = [paths.get(a, a.replace("OUT", str(tmp_path / "out"))) for a in argv]
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(content=st.binary(max_size=64) | mutants(bases))
+    @given(content=st.one_of(st.binary(max_size=64), mutants(bases), value_mutants(bases)))
     @example(content=DEEP_JSON)
     def exits_zero_to_three(content):
         path.write_bytes(content)

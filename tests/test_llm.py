@@ -278,7 +278,7 @@ def test_config_from_env_and_overrides():
     assert (config.base_url, config.model_name, config.api_key) == (
         "http://env", "env-model", "ek",
     )
-    # The endpoint gets a longer timeout than ModelConfig's default.
+    # The endpoint gets ModelConfig's defaults: temperature 0, a 60 s timeout, 3 retries.
     assert (config.temperature, config.timeout, config.max_retries) == (0.0, 60.0, 3)
     overridden = config_from_env(env, base_url="http://flag", model_name="flag-model")
     assert (overridden.base_url, overridden.model_name) == ("http://flag", "flag-model")
@@ -309,6 +309,34 @@ def test_offline_use_does_not_load_requests():
     done = subprocess.run(
         [sys.executable, "-c", OFFLINE_PROBE],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+SHIPPED_DATA_PROBE = """
+import sys
+
+import rsl
+
+assert len(rsl.load_default_tasks()) == 25
+rsl.default_world()
+rsl.default_manifest()
+rsl.default_system_message()
+rsl.default_shots()
+rsl.make_prompt_parts("Grasp the cup.")
+rsl.OracleTransport()
+rsl.FailFirstTransport()
+print(sorted(name for name in sys.modules if name.startswith(("importlib.resources", "pathlib"))))
+"""
+
+
+def test_shipped_data_loads_without_importlib_resources():
+    # -S: without site, since a start-up .pth file may import importlib.resources itself.
+    src = str(Path(rsl.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", SHIPPED_DATA_PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
