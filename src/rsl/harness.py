@@ -281,7 +281,9 @@ class OracleTransport:
 
     def __init__(self) -> None:
         path = data_path("oracle_programs.json")
-        self.programs: dict[str, str] = read_input(path, ValueError, "oracle programs", json.loads)
+        self.programs: dict[str, str] = read_input(
+            path, ValueError, "oracle programs",
+            lambda text: json_document(text, ValueError, "oracle programs"))
 
     def send(self, config: ModelConfig, payload: dict) -> dict:
         for message in reversed(payload["messages"]):  # the last user message that is a task

@@ -22,11 +22,10 @@ from typing import Sequence
 from .diagnostics import EMPTY_PROGRAM_FEEDBACK, Diagnostic, compose_feedback, render
 from .llm import ChatMessage, LlmError, ModelConfig, Transport, complete
 from .parser import check
-from .syntax import ANY_CASE_KEYWORD, KEYWORDS, Program, data_path, read_input
+from .syntax import ANY_CASE_KEYWORD, Program, data_path, json_document, read_input
 
 DEFAULT_MAX_PASSES = 5
 
-_KEYWORD_ALTERNATION = "|".join(sorted(KEYWORDS))
 # An opening fence is ``` followed by either code on the same line, after an
 # optional language tag and blanks, or an info line (dropped) and a newline.
 # Same-line code must start with a command keyword in any case, and a tag is
@@ -37,7 +36,10 @@ _FENCE_RE = re.compile(
     r"|[^\n`]*\n)(.*?)```",
     re.DOTALL,
 )
-_KEYWORD_LINE_RE = re.compile(r"^\s*(?:" + _KEYWORD_ALTERNATION + r")\b")
+# The unfenced program: a keyword-led line, then on to the end of the last one.
+# It is searched in splitlines() joined by "\n", so ^ and . see the same lines.
+_PROGRAM_BLOCK_RE = re.compile(
+    rf"^[^\S\n]*{ANY_CASE_KEYWORD}(?:(?s:.*)\n[^\S\n]*{ANY_CASE_KEYWORD})?.*", re.MULTILINE)
 
 
 @functools.lru_cache(maxsize=16)
@@ -108,18 +110,15 @@ def extract_rsl(assistant_text: str) -> str:
     """Reduce a chatty model reply to candidate program text.
 
     Fenced code blocks win (contents concatenated in order); otherwise the
-    lines that start with a command keyword; otherwise the text unchanged,
-    letting the compiler produce the diagnostics that drive feedback.
+    lines from the first to the last one led by a command keyword in any
+    case, as one block; otherwise the text unchanged. No line inside the
+    program is dropped, so the compiler diagnoses each broken one.
     """
     blocks = _FENCE_RE.findall(assistant_text)
     if blocks:
         return "\n".join(block.strip("\n") for block in blocks)
-    lines = [
-        line for line in assistant_text.splitlines() if _KEYWORD_LINE_RE.match(line)
-    ]
-    if lines:
-        return "\n".join(lines)
-    return assistant_text
+    block = _PROGRAM_BLOCK_RE.search("\n".join(assistant_text.splitlines()))
+    return block[0] if block else assistant_text
 
 
 def translate(
@@ -176,7 +175,8 @@ def default_system_message() -> str:
 
 def default_shots() -> tuple[tuple[str, str], ...]:
     """The shipped exemplars: one (task, program) pair per command keyword."""
-    entries = read_input(data_path("shots.json"), ValueError, "shots", json.loads)
+    entries = read_input(data_path("shots.json"), ValueError, "shots",
+                         lambda text: json_document(text, ValueError, "shots"))
     return tuple((entry["task"], entry["rsl"]) for entry in entries)
 
 

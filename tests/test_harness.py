@@ -340,6 +340,15 @@ def test_oracle_evaluation_is_perfect():
     assert report.accuracy == 1.0
 
 
+def test_oracle_programs_refuse_a_duplicated_key(tmp_path, monkeypatch):
+    path = tmp_path / "oracle_programs.json"
+    path.write_text('{"Perceive.": "perceive;", "Perceive.": "forward 1;"}', "utf-8")
+    monkeypatch.setattr(rsl.harness, "data_path", lambda name: str(tmp_path / name))
+    message = f"cannot read oracle programs {path}: duplicate key 'Perceive.' in oracle programs"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OracleTransport()
+
+
 @pytest.mark.parametrize(
     "tasks, parallelism, message",
     [([], 1, "tasks must be non-empty"), (None, 0, "parallelism must be >= 1")],

@@ -1,16 +1,22 @@
 import json
+import re
+import string
 from dataclasses import replace
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rsl.orchestrator as orchestrator_mod
 from rsl import (
     Category,
     ChatMessage,
     ModelConfig,
+    Number,
     PromptParts,
     ScriptedTransport,
+    Statement,
     TranslationAborted,
     build_prompt,
     check,
@@ -18,9 +24,11 @@ from rsl import (
     extract_rsl,
     make_prompt_parts,
     render_program,
+    render_statement,
     translate,
 )
 from rsl.diagnostics import EMPTY_PROGRAM_FEEDBACK, render
+from rsl.syntax import ANY_CASE_KEYWORD, KEYWORDS, STATEMENT_SCHEMAS
 
 CONFIG = ModelConfig(base_url="http://offline.invalid", model_name="scripted")
 SYSTEM = "You translate tasks into robot programs."
@@ -109,13 +117,120 @@ def test_extract_skips_stray_fence_in_prose():
 
 
 def test_extract_single_line_fence_keeps_case_variant_keyword():
-    # The lexer diagnoses and recovers FORWARD; extraction must not eat it.
+    # The lexer diagnoses and recovers FORWARD; extraction must not eat it,
+    # in a fence or outside one.
     assert extract_rsl("```FORWARD 1;```") == "FORWARD 1;"
+    assert extract_rsl("Sure:\nFORWARD 1;\nDone") == "FORWARD 1;"
 
 
 def test_extract_keyword_lines_only():
+    # A line that does not start with a keyword reads as prose before the
+    # first keyword-led line and after the last one.
     text = "Sure! forward 1;\nforward 2;\nHope this helps"
     assert extract_rsl(text) == "forward 2;"
+
+
+@pytest.mark.parametrize(
+    "middle, category",
+    [("TURNLEFT 1.5;", Category.KEYWORD), ("move 2;", Category.COMMAND),
+     ("$turnleft 1.5;", Category.CHARACTER)],
+    ids=["keyword", "command", "character"],
+)
+def test_extract_keeps_every_line_between_keyword_lines(middle, category):
+    program = f"forward 2;\n{middle}\ngrasp cup;"
+    for reply in (program, f"Here is the plan:\n{program}\nHope this helps"):
+        text = extract_rsl(reply)
+        assert text == program
+        assert [(d.category, d.span.line) for d in check(text).diagnostics] == [(category, 2)]
+
+
+def numerals(signed):
+    raw = st.integers(0, 9999).map(str) | st.builds("{}.{}".format, st.integers(0, 99),
+                                                     st.integers(0, 999))
+    if signed:
+        return st.builds(str.__add__, st.sampled_from(["", "-"]), raw)
+    return raw.filter(lambda text: float(text) > 0)
+
+
+OBJECT_NAMES = st.builds(
+    str.__add__,
+    st.sampled_from(string.ascii_letters + "_"),
+    st.text(string.ascii_letters + string.digits + "_", max_size=7),
+).filter(lambda name: name.lower() not in KEYWORDS)
+
+
+@st.composite
+def statements(draw):
+    keyword = draw(st.sampled_from(sorted(STATEMENT_SCHEMAS)))
+    args = []
+    for kind in STATEMENT_SCHEMAS[keyword]:
+        if kind == "object":
+            args.append(draw(OBJECT_NAMES))
+        else:
+            raw = draw(numerals(signed=keyword == "goto"))
+            args.append(Number(float(raw), raw))
+    return Statement(keyword, tuple(args))
+
+
+# Prose is drawn with no backtick, so it opens no fence, and with no line led
+# by a command keyword in any case, so it never joins the program's block.
+PROSE_LINES = st.text(string.ascii_letters + string.digits + " .,:;!?'-()", max_size=24).filter(
+    lambda line: not re.match(r"\s*" + ANY_CASE_KEYWORD, line)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(statements(), min_size=1, max_size=6),
+    st.lists(PROSE_LINES, min_size=1, max_size=3),
+    st.lists(PROSE_LINES, min_size=1, max_size=3),
+    st.data(),
+)
+def test_extract_reads_every_documented_reply_shape(program, before, after, data):
+    lines = [render_statement(s) for s in program]
+    prose_before, prose_after = "\n".join(before), "\n".join(after)
+
+    def unfenced(lines):
+        body = "\n".join(lines)
+        return [body, f"{prose_before}\n{body}\n{prose_after}"]
+
+    body, one_line = "\n".join(lines), " ".join(lines)
+    replies = unfenced(lines) + [
+        f"{prose_before}\n```\n{body}\n```\n{prose_after}",
+        f"{prose_before}\n```rsl\n{body}\n```\n{prose_after}",
+        f"{prose_before} ```{one_line}``` {prose_after}",
+        f"{prose_before} ```rsl {one_line}``` {prose_after}",
+    ]
+    for reply in replies:
+        outcome = check(extract_rsl(reply))
+        assert outcome.program.verified, reply
+        assert outcome.program.statements == tuple(program), reply
+
+    # A case-variant keyword leads its line wherever it is, so it is always
+    # extracted and diagnosed.
+    index = data.draw(st.integers(0, len(lines) - 1))
+    keyword = program[index].keyword
+    upper = data.draw(st.sets(st.integers(0, len(keyword) - 1), min_size=1))
+    variant = "".join(c.upper() if i in upper else c for i, c in enumerate(keyword))
+    mutants = [(index, variant + lines[index][len(keyword):], Category.KEYWORD)]
+    # Any broken line between two keyword-led lines is extracted too.
+    if len(lines) >= 3:
+        index = data.draw(st.integers(1, len(lines) - 2))
+        rest = lines[index][len(program[index].keyword):]
+        mutants += [
+            (index, data.draw(OBJECT_NAMES) + rest, Category.COMMAND),
+            (index, data.draw(st.sampled_from("$@#?!%&^~(){}[]")) + lines[index],
+             Category.CHARACTER),
+            (index, data.draw(st.sampled_from(string.digits)) + lines[index], None),
+        ]
+    for index, mutant, category in mutants:
+        broken = [*lines[:index], mutant, *lines[index + 1:]]
+        for reply in unfenced(broken):
+            diagnostics = check(extract_rsl(reply)).diagnostics
+            assert diagnostics, reply
+            assert {d.span.line for d in diagnostics} == {index + 1}, reply
+            if category is not None:
+                assert [d.category for d in diagnostics] == [category], reply
 
 
 def test_extract_keeps_indented_keyword_lines():
@@ -197,6 +312,16 @@ def test_feedback_contains_every_previous_diagnostic_once():
     feedback = outcome.transcript[3].content
     for d in first_diags:
         assert feedback.count(render(d)) == 1
+
+
+def test_translate_repairs_a_case_variant_keyword_between_keyword_lines():
+    transport = ScriptedTransport([
+        "forward 2;\nTURNLEFT 1.5;\ngrasp cup;", "forward 2;\nturnleft 1.5;\ngrasp cup;",
+    ])
+    outcome = translate(parts(), CONFIG, 5, transport=transport)
+    assert outcome.verified and outcome.passes == 2
+    assert [d.category for d in outcome.raw_history[0][1]] == [Category.KEYWORD]
+    assert render_program(outcome.program) == "forward 2;\nturnleft 1.5;\ngrasp cup;"
 
 
 def test_transcript_accumulates_across_passes():
@@ -304,6 +429,16 @@ def test_build_prompt_sends_shipped_data_verbatim():
     template = make_prompt_parts("placeholder")
     messages = build_prompt(replace(template, task="Approach the table."))
     assert [(m.role, m.content) for m in messages] == expected
+
+
+def test_default_shots_refuse_a_duplicated_key(tmp_path, monkeypatch):
+    (tmp_path / "shots.json").write_text(
+        '[{"task": "Perceive.", "task": "Look.", "rsl": "perceive;"}]', "utf-8"
+    )
+    monkeypatch.setattr(orchestrator_mod, "data_path", lambda name: str(tmp_path / name))
+    message = f"cannot read shots {tmp_path / 'shots.json'}: duplicate key 'task' in shots"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        default_shots()
 
 
 def test_per_task_prompts_share_the_template_prefix():
