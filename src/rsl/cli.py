@@ -16,17 +16,16 @@ import json
 import sys
 from pathlib import Path
 
-from .codegen import default_manifest, generate, load_manifest_file
+from .codegen import generate, load_manifest_file
 from .diagnostics import EMPTY_PROGRAM, render
 from .harness import (
-    FailFirstTransport, OracleTransport, evaluate, load_default_tasks, load_tasks, report_to_csv,
-    report_to_json,
+    FailFirstTransport, OracleTransport, evaluate, load_tasks, report_to_csv, report_to_json,
 )
 from .llm import ENV_API_KEY, LlmError, ModelConfig, ScriptedTransport, config_from_env
 from .orchestrator import DEFAULT_MAX_PASSES, make_prompt_parts, transcript_to_json, translate
 from .parser import check
-from .sim import SimError, TraceRecord, default_world, load_world_file, run, trace_to_jsonl
-from .syntax import json_document, read_input, render_program
+from .sim import SimError, TraceRecord, load_world_file, run, trace_to_jsonl
+from .syntax import data_path, json_document, read_input, render_program
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -109,7 +108,7 @@ def cmd_check(args) -> int:
 
 def cmd_compile(args) -> int:
     outcome = check(read_input(args.source, ValueError, "source"))
-    manifest = load_manifest_file(args.manifest) if args.manifest else default_manifest()
+    manifest = load_manifest_file(args.manifest)
     if outcome.diagnostics:
         return _report(outcome, args.json)
     emitted = generate(outcome.program, manifest)
@@ -126,7 +125,7 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     outcome = check(read_input(args.source, ValueError, "source"))
-    world = load_world_file(args.world) if args.world else default_world()
+    world = load_world_file(args.world)
     if outcome.diagnostics:
         return _report(outcome, args.json)
     result = run(outcome.program, world)
@@ -161,9 +160,7 @@ def cmd_run(args) -> int:
 def cmd_translate(args) -> int:
     config, transport = _make_backend(args)
     parts = make_prompt_parts(args.task, zero_shot=args.zero_shot)
-    manifest = None
-    if args.compile_to:
-        manifest = load_manifest_file(args.manifest) if args.manifest else default_manifest()
+    manifest = load_manifest_file(args.manifest) if args.compile_to else None
     outcome = translate(parts, config, args.max_passes, transport=transport)
     if args.transcript:
         Path(args.transcript).write_text(transcript_to_json(outcome.transcript), encoding="utf-8")
@@ -193,8 +190,8 @@ def cmd_translate(args) -> int:
 
 def cmd_eval(args) -> int:
     config, transport = _make_backend(args)
-    tasks = load_tasks(args.dataset) if args.dataset else load_default_tasks()
-    world = load_world_file(args.world) if args.world else default_world()
+    tasks = load_tasks(args.dataset)
+    world = load_world_file(args.world)
     parts_template = make_prompt_parts("placeholder", zero_shot=args.zero_shot)
     report = evaluate(
         tasks, config, parts_template, world, max_passes=args.max_passes,
@@ -250,7 +247,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ("eval", cmd_eval, None, "run the 25-task benchmark"),
     ]:
         sub[name] = subparsers.add_parser(name, help=help_text)
-        sub[name].set_defaults(func=func)
+        # The shipped files, for the subcommands that take --manifest, --world or --dataset.
+        sub[name].set_defaults(func=func, manifest=data_path("manifest.json"),
+                               world=data_path("world.json"), dataset=data_path("tasks.json"))
         if positional:
             sub[name].add_argument(positional)
 

@@ -8,7 +8,8 @@ unless a task opts in with an explicit pose predicate.
 
 A deterministic oracle transport maps each benchmark task text to a
 hand-verified program so the whole pipeline runs offline; the fail-first
-wrapper breaks its first reply per task to exercise the feedback loop.
+oracle breaks its reply to each task's first request, on every run, to
+exercise the feedback loop.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import fnmatch
 import functools
 import io
 import json
-import threading
 from dataclasses import asdict, dataclass, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -293,22 +293,15 @@ class OracleTransport:
         raise TransportError("oracle transport: no known task in the prompt")
 
 
-class FailFirstTransport:
-    """Oracle wrapper whose first reply of each task's program drops the final
-    semicolon, forcing exactly one feedback pass before the correct program."""
-
-    def __init__(self) -> None:
-        self._oracle = OracleTransport()
-        self._replied: set[str] = set()
-        self._lock = threading.Lock()
+class FailFirstTransport(OracleTransport):
+    """Oracle whose reply to a task's first request drops the final semicolon,
+    forcing exactly one feedback pass before the correct program. Only a
+    first request ends in the task: every later one ends in feedback."""
 
     def send(self, config: ModelConfig, payload: dict) -> dict:
-        reply = self._oracle.send(config, payload)
-        message = reply["choices"][0]["message"]
-        with self._lock:
-            first = message["content"] not in self._replied
-            self._replied.add(message["content"])
-        if first:
+        reply = super().send(config, payload)
+        if payload["messages"][-1]["content"] in self.programs:
+            message = reply["choices"][0]["message"]
             message["content"] = message["content"].rstrip().rstrip(";")
         return reply
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: seeded program fuzzers, an independent brute-force
+"""Shared test helpers: seeded program fuzzers, the one-mistake mutant
+maker of the parser and repair-loop properties, an independent brute-force
 kinematics oracle, the character-at-a-time scanner the lexer replaced, the
 parser as it was before it built statements and spans unchecked, the
 per-record json.dumps trace export that trace_to_jsonl replaced, and the
@@ -24,9 +25,10 @@ import string
 import sys
 
 from rsl import (
-    Category, Diagnostic, Number, ParseOutcome, Program, RobotState, Statement, render_statement,
+    Category, Diagnostic, Number, ParseOutcome, Program, RobotState, Statement, lex,
+    render_statement,
 )
-from rsl.syntax import KEYWORDS, STATEMENT_SCHEMAS, SourceSpan, Token, TokenKind
+from rsl.syntax import ANY_CASE_KEYWORD, KEYWORDS, STATEMENT_SCHEMAS, SourceSpan, Token, TokenKind
 
 KEYWORD_LIST = sorted(KEYWORDS)
 _NAME_ALPHABET = string.ascii_lowercase + "_"
@@ -167,6 +169,82 @@ def single_char_mutant(rng: random.Random, source: str) -> str:
     if edit == 1:
         return source[:at] + rng.choice(alphabet) + source[at + 1 :]
     return source[:at] + rng.choice(alphabet) + source[at:]
+
+
+def inject_mistake(category, statement, last, rng):
+    """The rendered statement with one mistake of category at a token
+    boundary, or None when the statement has no place for one."""
+    text = render_statement(statement)
+    keyword, args = statement.keyword, [
+        a.raw if isinstance(a, Number) else a for a in statement.args
+    ]
+    schema = STATEMENT_SCHEMAS[keyword]
+
+    def line(kw, arguments):
+        return f"{kw} {', '.join(arguments)};" if arguments else f"{kw};"
+
+    if category is Category.KEYWORD:
+        variant = "".join(c.upper() if rng.random() < 0.5 else c for c in keyword)
+        return line(variant if variant != keyword else keyword.upper(), args)
+    if category is Category.IDENTIFIER:
+        slots = [i for i, kind in enumerate(schema) if kind == "object"]
+        if not slots:
+            return None
+        args[slots[0]] = f"{rng.randrange(10)}{args[slots[0]]}"
+        return line(keyword, args)
+    if category is Category.NUMBER:
+        slots = [i for i, kind in enumerate(schema) if kind == "number"]
+        if not slots:
+            return None
+        slot = rng.choice(slots)
+        args[slot] = rng.choice([args[slot] + ".", args[slot] + ".0.1", "9" * 400])
+        return line(keyword, args)
+    if category is Category.CHARACTER:
+        boundaries = sorted(
+            {t.span.col_start - 1 for t in lex(text).tokens} | {len(text)}
+        )
+        at = rng.choice(boundaries)
+        return text[:at] + rng.choice("$@#?!%&^~`'\"(){}[]\\\u00e9") + text[at:]
+    if category is Category.COMMENT:
+        return text + rng.choice([" / note", "/"] + ([" /* open"] if last else []))
+    if category is Category.COMMAND:
+        return line(random_object_name(rng), args)
+    if category is Category.PARAMETER:
+        if not schema:
+            return None
+        slot = rng.randrange(len(schema))
+        if schema[slot] == "number" and keyword != "goto" and rng.random() < 0.5:
+            args[slot] = rng.choice(["0", "-" + args[slot]])  # positivity
+        elif schema[slot] == "number":
+            args[slot] = random_object_name(rng)
+        else:
+            args[slot] = random_number_raw(rng)
+        return line(keyword, args)
+    if category is Category.QUANTITY:
+        if args and rng.random() < 0.5:
+            return line(keyword, args[:-1])
+        return text[:-1] + " 1;"
+    assert category is Category.SEMICOLON
+    return text[:-1]
+
+
+# extract_rsl reads a line that no keyword leads as prose when it is the
+# first or last line of an unfenced reply (test_extract_keyword_lines_only),
+# so a Command mutant, or a Character one at column 1, goes only between two
+# keyword-led lines.
+_KEYWORD_LED = re.compile(r"\s*" + ANY_CASE_KEYWORD)
+
+
+def one_mistake_program(statements, rng):
+    """statements rendered one per line, with one mistake at a token boundary
+    of one of them, and the mistake's category."""
+    lines = [render_statement(s) for s in statements]
+    while True:
+        category = rng.choice(list(Category))
+        index = rng.randrange(len(lines))
+        broken = inject_mistake(category, statements[index], index == len(lines) - 1, rng)
+        if broken is not None and (0 < index < len(lines) - 1 or _KEYWORD_LED.match(broken)):
+            return "\n".join([*lines[:index], broken, *lines[index + 1:]]), category
 
 
 def _wrap(theta: float) -> float:

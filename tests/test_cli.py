@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -516,13 +517,14 @@ JSON_VALUES = st.recursive(
 )
 
 
-def json_paths(value, path):
-    """path, then the path of every value nested in value, in document order."""
-    yield path
+def json_slots(value, parent, key):
+    """(parent, key) of value, then of every value nested in value, in
+    document order."""
+    yield parent, key
     if isinstance(value, (dict, list)):
         items = value.items() if isinstance(value, dict) else enumerate(value)
-        for key, child in items:
-            yield from json_paths(child, (*path, key))
+        for child_key, child in items:
+            yield from json_slots(child, value, child_key)
 
 
 @st.composite
@@ -531,11 +533,36 @@ def value_mutants(draw, bases):
     by a drawn JSON value, dumped again: still JSON, so it reaches the loader's
     checks of keys and values."""
     root = [json.loads(draw(st.sampled_from(bases)))]
-    *steps, last = draw(st.sampled_from(list(json_paths(root[0], (0,)))))
-    parent = root
-    for step in steps:
-        parent = parent[step]
-    parent[last] = draw(JSON_VALUES)
+    parent, key = draw(st.sampled_from(list(json_slots(root[0], root, 0))))
+    parent[key] = draw(JSON_VALUES)
+    return json.dumps(root[0]).encode()
+
+
+KEYWORD_LIST = sorted(rsl.KEYWORDS)
+KEYWORD_WORD = re.compile(rf"\b(?:{'|'.join(KEYWORD_LIST)})\b")
+FINITE_NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def typed_mutants(draw, bases):
+    """One of bases, parsed as JSON, with one number replaced by a drawn
+    finite number, or one keyword in a string by a drawn keyword, dumped
+    again. Every value keeps its type, so the document mostly loads and the
+    command runs to its end."""
+    root = [json.loads(draw(st.sampled_from(bases)))]
+    spots = []
+    for parent, key in json_slots(root[0], root, 0):
+        value = parent[key]
+        if isinstance(value, str):
+            spots += [(parent, key, match.span()) for match in KEYWORD_WORD.finditer(value)]
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            spots.append((parent, key, None))
+    parent, key, span = draw(st.sampled_from(spots))
+    if span is None:
+        parent[key] = draw(FINITE_NUMBERS)
+    else:
+        start, end = span
+        parent[key] = parent[key][:start] + draw(st.sampled_from(KEYWORD_LIST)) + parent[key][end:]
     return json.dumps(root[0]).encode()
 
 
@@ -548,7 +575,9 @@ def test_any_file_exits_zero_to_three(argv, bases, tmp_path, capsys):
     argv = [paths.get(a, a.replace("OUT", str(tmp_path / "out"))) for a in argv]
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(content=st.one_of(st.binary(max_size=64), mutants(bases), value_mutants(bases)))
+    @given(content=st.one_of(
+        st.binary(max_size=64), mutants(bases), value_mutants(bases), typed_mutants(bases),
+    ))
     @example(content=DEEP_JSON)
     def exits_zero_to_three(content):
         path.write_bytes(content)

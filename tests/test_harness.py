@@ -28,6 +28,7 @@ from rsl import (
     UnknownObject,
     World,
     check,
+    compose_feedback,
     default_world,
     evaluate,
     evaluate_accuracy,
@@ -41,7 +42,7 @@ from rsl import (
 from rsl.harness import GROUP_SIZES, _match_action
 from rsl.syntax import IDENTIFIER, render_program
 
-from support import KEYWORD_LIST, random_program, reference_match_action
+from support import KEYWORD_LIST, one_mistake_program, random_program, reference_match_action
 
 CONFIG = ModelConfig(base_url="http://offline.invalid", model_name="offline")
 
@@ -374,6 +375,54 @@ def test_fail_first_needs_the_feedback_pass():
     assert two.success_count == 25
     assert two.accurate_count == 25
     assert two.mean_pass == 2.0
+
+
+def test_fail_first_breaks_the_first_reply_on_every_run():
+    # The stand-in reads each request and keeps nothing between runs, so a
+    # second run on the same instance needs the feedback pass again.
+    transport = FailFirstTransport()
+    for _ in range(2):
+        report = evaluate(load_default_tasks(), CONFIG, template(), default_world(),
+                          max_passes=2, transport=transport)
+        assert report.success_count == report.accurate_count == 25
+        assert report.mean_pass == 2.0
+
+
+def test_fail_first_breaks_a_first_request_and_answers_feedback():
+    transport = FailFirstTransport()
+    first = [{"role": "system", "content": "s"}, {"role": "user", "content": "Approach the door."}]
+
+    def reply(messages):
+        return transport.send(CONFIG, {"messages": messages})["choices"][0]["message"]["content"]
+
+    assert [reply(first), reply(first)] == ["approach door", "approach door"]
+    feedback = compose_feedback(check("approach door").diagnostics, "approach door")
+    later = [*first, {"role": "assistant", "content": "approach door"},
+             {"role": "user", "content": feedback}]
+    assert reply(later) == "approach door;"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.data())
+def test_evaluate_counts_what_the_replies_say(max_passes, data):
+    # Task by task, in order, the script holds k one-mistake mutants of the
+    # task's oracle program and then, if a pass is left, the program.
+    tasks = load_default_tasks()
+    ks = data.draw(st.lists(st.integers(0, max_passes), min_size=len(tasks), max_size=len(tasks)))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    programs = OracleTransport().programs
+    replies = []
+    for task, k in zip(tasks, ks):
+        program = check(programs[task.text]).program.statements
+        replies += [one_mistake_program(program, rng)[0] for _ in range(k)]
+        if k < max_passes:
+            replies.append(programs[task.text])
+    transport = ScriptedTransport(replies)
+    report = evaluate(tasks, CONFIG, template(), default_world(), max_passes=max_passes,
+                      transport=transport)
+    assert len(transport.requests) == len(replies)
+    assert report.success_count == report.accurate_count == sum(k < max_passes for k in ks)
+    assert report.mean_pass == sum(min(k + 1, max_passes) for k in ks) / len(tasks)
 
 
 def test_accurate_implies_success():

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import string
 from dataclasses import replace
@@ -20,6 +21,7 @@ from rsl import (
     TranslationAborted,
     build_prompt,
     check,
+    compose_feedback,
     default_shots,
     extract_rsl,
     make_prompt_parts,
@@ -29,6 +31,8 @@ from rsl import (
 )
 from rsl.diagnostics import EMPTY_PROGRAM_FEEDBACK, render
 from rsl.syntax import ANY_CASE_KEYWORD, KEYWORDS, STATEMENT_SCHEMAS
+
+from support import one_mistake_program
 
 CONFIG = ModelConfig(base_url="http://offline.invalid", model_name="scripted")
 SYSTEM = "You translate tasks into robot programs."
@@ -322,6 +326,31 @@ def test_translate_repairs_a_case_variant_keyword_between_keyword_lines():
     assert outcome.verified and outcome.passes == 2
     assert [d.category for d in outcome.raw_history[0][1]] == [Category.KEYWORD]
     assert render_program(outcome.program) == "forward 2;\nturnleft 1.5;\ngrasp cup;"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(statements(), min_size=1, max_size=6), st.integers(1, 3), st.data())
+def test_translate_repairs_one_mistake_a_pass(program, max_passes, data):
+    # The model replies with k one-mistake mutants, then the program.
+    k = data.draw(st.integers(0, max_passes))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    mutants = [one_mistake_program(program, rng) for _ in range(k)]
+    transport = ScriptedTransport(
+        [text for text, _ in mutants] + ["\n".join(render_statement(s) for s in program)]
+    )
+    outcome = translate(parts(), CONFIG, max_passes, transport=transport)
+    assert outcome.passes == min(k + 1, max_passes)
+    if k < max_passes:
+        assert outcome.verified and outcome.program.statements == tuple(program)
+        assert outcome.raw_history[-1][1] == ()
+    else:
+        assert not outcome.verified and outcome.program is None
+    for (reply, diagnostics), (text, category) in zip(outcome.raw_history, mutants):
+        assert reply == text
+        assert [d.category for d in diagnostics] == [category], text
+    for (reply, diagnostics), request in zip(outcome.raw_history, transport.requests[1:]):
+        feedback = compose_feedback(diagnostics, extract_rsl(reply))
+        assert request[-1] == {"role": "user", "content": feedback}
 
 
 def test_transcript_accumulates_across_passes():

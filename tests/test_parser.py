@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 import rsl.parser as parser_mod
 from rsl import Category, Number, Statement, check, lex, parse, validate
 from rsl.diagnostics import source_order
-from rsl.syntax import STATEMENT_SCHEMAS, SourceSpan, render_program, render_statement
+from rsl.syntax import SourceSpan, render_program, render_statement
 
 from support import (
+    inject_mistake,
     random_gapped_source,
     random_junk_source,
-    random_number_raw,
-    random_object_name,
     random_program,
     random_statement,
     reference_parse,
@@ -311,63 +310,6 @@ def test_lexed_and_parsed_spans_pass_the_span_check():
             assert SourceSpan(*span) == span, source
 
 
-def _inject(category, statement, last, rng):
-    """The rendered statement with one mistake of category at a token
-    boundary, or None when the statement has no place for one."""
-    text = render_statement(statement)
-    keyword, args = statement.keyword, [
-        a.raw if isinstance(a, Number) else a for a in statement.args
-    ]
-    schema = STATEMENT_SCHEMAS[keyword]
-
-    def line(kw, arguments):
-        return f"{kw} {', '.join(arguments)};" if arguments else f"{kw};"
-
-    if category is Category.KEYWORD:
-        variant = "".join(c.upper() if rng.random() < 0.5 else c for c in keyword)
-        return line(variant if variant != keyword else keyword.upper(), args)
-    if category is Category.IDENTIFIER:
-        slots = [i for i, kind in enumerate(schema) if kind == "object"]
-        if not slots:
-            return None
-        args[slots[0]] = f"{rng.randrange(10)}{args[slots[0]]}"
-        return line(keyword, args)
-    if category is Category.NUMBER:
-        slots = [i for i, kind in enumerate(schema) if kind == "number"]
-        if not slots:
-            return None
-        slot = rng.choice(slots)
-        args[slot] = rng.choice([args[slot] + ".", args[slot] + ".0.1", "9" * 400])
-        return line(keyword, args)
-    if category is Category.CHARACTER:
-        boundaries = sorted(
-            {t.span.col_start - 1 for t in lex(text).tokens} | {len(text)}
-        )
-        at = rng.choice(boundaries)
-        return text[:at] + rng.choice("$@#?!%&^~`'\"(){}[]\\\u00e9") + text[at:]
-    if category is Category.COMMENT:
-        return text + rng.choice([" / note", "/"] + ([" /* open"] if last else []))
-    if category is Category.COMMAND:
-        return line(random_object_name(rng), args)
-    if category is Category.PARAMETER:
-        if not schema:
-            return None
-        slot = rng.randrange(len(schema))
-        if schema[slot] == "number" and keyword != "goto" and rng.random() < 0.5:
-            args[slot] = rng.choice(["0", "-" + args[slot]])  # positivity
-        elif schema[slot] == "number":
-            args[slot] = random_object_name(rng)
-        else:
-            args[slot] = random_number_raw(rng)
-        return line(keyword, args)
-    if category is Category.QUANTITY:
-        if args and rng.random() < 0.5:
-            return line(keyword, args[:-1])
-        return text[:-1] + " 1;"
-    assert category is Category.SEMICOLON
-    return text[:-1]
-
-
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(list(Category)), st.integers(0, 2**32 - 1))
 def test_one_mistake_gives_one_diagnostic(category, seed):
@@ -379,7 +321,7 @@ def test_one_mistake_gives_one_diagnostic(category, seed):
     index = rng.randrange(len(statements))
     broken = None
     while broken is None:
-        broken = _inject(category, statements[index], index == len(lines) - 1, rng)
+        broken = inject_mistake(category, statements[index], index == len(lines) - 1, rng)
         if broken is None:
             statements[index] = random_statement(rng)
             lines[index] = render_statement(statements[index])
