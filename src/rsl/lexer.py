@@ -4,16 +4,15 @@ One master regular expression, _TOKEN_RE, names every lexeme class; lex walks
 its matches in order and dispatches on what matched, so every character of
 the source belongs to exactly one match. A well-formed statement on one line,
 with a lowercase keyword and only spaces and tabs inside, is one match: there
-is one alternative per token-kind shape in STATEMENT_KINDS, and lex emits
-the statement's tokens from its groups in one loop, as no lexeme in such a
-match needs a diagnostic (numbers have at most 308 integer digits, objects
-are no keyword; see _statement_alternatives). Anything else, such as a
-statement broken across lines or by a comment, a case-variant keyword or a
-bad lexeme, falls back to one match per token. Gaps (whitespace, newlines,
-closed comments) are a prefix of the next match, or of a last match at the
-end. Line and column come from the last newline seen, searched for only in
-gaps that are not empty. Spans are valid by construction, so tokens and
-spans skip SourceSpan's check.
+is one alternative per token-kind shape in STATEMENT_KINDS. No lexeme in such
+a match needs a diagnostic (see _statement_alternatives), so lex builds its
+keyword and semicolon tokens outright and loops over its parameters and
+commas only. Anything else, such as a statement broken across lines or by a
+comment, a case-variant keyword or a bad lexeme, falls back to one match per
+token. Gaps (whitespace, newlines, closed comments) are a prefix of the next
+match, or of a last match at the end. Line and column come from the last
+newline seen, searched for only in gaps that are not empty. Spans are valid
+by construction, so tokens and spans skip SourceSpan's check.
 
 Lexical problems never abort the scan. Each one becomes a diagnostic in one of
 the five lexical categories, and where the intended token is obvious the
@@ -117,9 +116,11 @@ _TOKEN_RE = re.compile(
     re.DOTALL,
 )
 # Per statement alternative, by its semicolon's group number (a match's lastindex),
-# the group number and kind of each of its lexemes, keyword first.
+# its keyword's group number, then the group number and kind of each of its
+# parameters and commas. The semicolon, one character, ends the match.
 _STATEMENTS = {
-    _TOKEN_RE.groupindex[name]: tuple((_TOKEN_RE.groupindex[g], kind) for g, kind in lexemes)
+    _TOKEN_RE.groupindex[name]: (_TOKEN_RE.groupindex[lexemes[0][0]],
+                                 tuple((_TOKEN_RE.groupindex[g], k) for g, k in lexemes[1:-1]))
     for name, lexemes in _LEXEMES.items() if len(lexemes) > 1
 }
 _LETTER_RE = re.compile(r"[A-Za-z_]")
@@ -145,20 +146,28 @@ def lex(source: str) -> LexOutcome:
     line, line_start, pos = 1, 0, 0
     for m in _TOKEN_RE.finditer(source):
         statement = _STATEMENTS.get(m.lastindex)
-        start = m.start(statement[0][0]) if statement else m.start(m.lastindex)
+        start = m.start(statement[0]) if statement else m.start(m.lastindex)
         if start == pos + 1 and source[pos] == "\n":
             line, line_start = line + 1, start
         elif start != pos and (newlines := source.count("\n", pos, start)):
             line += newlines
             line_start = source.rfind("\n", pos, start) + 1
         if statement:
-            for group, kind in statement:
+            keyword, parameters = statement
+            offset = line_start - 1  # a lexeme's column is its index in source minus this
+            text = m.group(keyword)
+            span = _new(SourceSpan, (line, start - offset, start - offset + len(text) - 1))
+            tokens.append(_new(Token, (_KEYWORD, text, span, text, None)))
+            for group, kind in parameters:
                 text = m.group(group)
-                col = m.start(group) - line_start + 1
+                col = m.start(group) - offset
                 span = _new(SourceSpan, (line, col, col + len(text) - 1))
-                tokens.append(_new(Token, (kind, text, span, text if kind is _KEYWORD else None,
+                tokens.append(_new(Token, (kind, text, span, None,
                                            float(text) if kind is _NUMBER else None)))
             pos = m.end()
+            col = pos - 1 - offset  # the semicolon is the match's last character
+            span = _new(SourceSpan, (line, col, col))
+            tokens.append(_new(Token, (_SEMICOLON, ";", span, None, None)))
             continue
         alternative = m.lastgroup
         if alternative == "end":

@@ -23,6 +23,7 @@ ENV_BASE_URL = "RSL_BASE_URL"
 ENV_MODEL = "RSL_MODEL"
 
 _BACKOFF_BASE_SECONDS = 0.5
+_BACKOFF_MAX_SECONDS = 8.0  # the ceiling of any one wait
 _sleep = time.sleep  # swapped out in tests
 
 
@@ -156,8 +157,8 @@ def complete(
 ) -> str:
     """Send one chat completion and return the assistant text of the first
     choice. Transient transport failures are retried up to max_retries with
-    exponential backoff; authentication errors and rejected requests are
-    never retried."""
+    exponential backoff, each wait at most _BACKOFF_MAX_SECONDS;
+    authentication errors and rejected requests are never retried."""
     roles = [m.role for m in messages]
     if roles[:1] != ["system"]:
         raise ValueError("messages must start with a system message")
@@ -170,7 +171,7 @@ def complete(
         "temperature": config.temperature,
         "messages": [{"role": m.role, "content": m.content} for m in messages],
     }
-    failures = 0
+    failures, wait = 0, _BACKOFF_BASE_SECONDS
     while True:
         try:
             data = transport.send(config, payload)
@@ -179,7 +180,8 @@ def complete(
             failures += 1
             if failures > config.max_retries:
                 raise
-            _sleep(_BACKOFF_BASE_SECONDS * 2 ** (failures - 1))
+            _sleep(wait)
+            wait = min(2 * wait, _BACKOFF_MAX_SECONDS)
     return _extract_content(data)
 
 

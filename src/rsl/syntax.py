@@ -257,10 +257,13 @@ def acyclic(function):
 def render_statement(s: Statement) -> str:
     """Canonical concrete syntax: lowercase keyword, single spaces, ", "
     between goto coordinates, trailing semicolon."""
-    args = [a.raw if isinstance(a, Number) else a for a in s.args]
+    args = s.args
     if not args:
         return f"{s.keyword};"
-    return f"{s.keyword} {', '.join(args)};"
+    if len(args) == 1:
+        arg = args[0]
+        return f"{s.keyword} {arg.raw if isinstance(arg, Number) else arg};"
+    return f"{s.keyword} {', '.join([a.raw if isinstance(a, Number) else a for a in args])};"
 
 
 def render_program(p: Program) -> str:

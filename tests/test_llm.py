@@ -89,6 +89,23 @@ def test_retry_two_timeouts_then_success(monkeypatch):
     assert sleeps == [0.5, 1.0]
 
 
+def test_backoff_waits_are_capped(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(llm_mod, "_sleep", sleeps.append)
+    config = ModelConfig(base_url="http://x", model_name="m", max_retries=12)
+    transport = FlakyTransport(20, "never")
+    with pytest.raises(TransportError):
+        complete(config, msgs("t"), transport=transport)
+    # Doubling from 0.5 s to the 8 s ceiling, then 8 s a wait.
+    assert sleeps == [0.5, 1.0, 2.0, 4.0] + [8.0] * 8
+    # A retry budget past 2 ** 1024 half-seconds still ends in the transport's error.
+    sleeps.clear()
+    config = ModelConfig(base_url="http://x", model_name="m", max_retries=1100)
+    with pytest.raises(TransportError):
+        complete(config, msgs("t"), transport=FlakyTransport(2000, "never"))
+    assert len(sleeps) == 1100 and max(sleeps) == 8.0
+
+
 def test_retries_exhausted(monkeypatch):
     monkeypatch.setattr(llm_mod, "_sleep", lambda _: None)
     transport = FlakyTransport(10, "never")

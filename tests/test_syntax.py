@@ -5,6 +5,8 @@ import random
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rsl
 import rsl.parser
@@ -52,6 +54,24 @@ def test_render_grasp():
 
 def test_render_perceive():
     assert render_statement(Statement("perceive")) == "perceive;"
+
+
+# Any text, with the characters that matter to the syntax drawn often.
+TEXTS = st.text(st.sampled_from('",; \\') | st.characters())
+
+
+@pytest.mark.parametrize("keyword", sorted(STATEMENT_SCHEMAS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_render_statement_writes_raw_numbers_and_names(keyword, data):
+    # A Number's raw text is written, never its value; a name as it is.
+    texts = [data.draw(TEXTS) for _ in STATEMENT_SCHEMAS[keyword]]
+    args = tuple(
+        Number(data.draw(st.floats()), text) if kind == "number" else text
+        for kind, text in zip(STATEMENT_SCHEMAS[keyword], texts)
+    )
+    expected = keyword + " " + ", ".join(texts) + ";" if texts else keyword + ";"
+    assert render_statement(Statement(keyword, args)) == expected
 
 
 def test_render_reparses_to_equal_statement():
