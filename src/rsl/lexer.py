@@ -4,15 +4,17 @@ One master regular expression, _TOKEN_RE, names every lexeme class; lex walks
 its matches in order and dispatches on what matched, so every character of
 the source belongs to exactly one match. A well-formed statement on one line,
 with a lowercase keyword and only spaces and tabs inside, is one match: there
-is one alternative per token-kind shape in STATEMENT_KINDS. No lexeme in such
-a match needs a diagnostic (see _statement_alternatives), so lex builds its
-keyword and semicolon tokens outright and loops over its parameters and
-commas only. Anything else, such as a statement broken across lines or by a
-comment, a case-variant keyword or a bad lexeme, falls back to one match per
-token. Gaps (whitespace, newlines, closed comments) are a prefix of the next
-match, or of a last match at the end. Line and column come from the last
-newline seen, searched for only in gaps that are not empty. Spans are valid
-by construction, so tokens and spans skip SourceSpan's check.
+is one alternative per token-kind shape in STATEMENT_KINDS. So is one that
+lacks only its semicolon, where the next character cannot continue its last
+lexeme. No lexeme in such a match needs a diagnostic (see
+_statement_alternatives), so lex builds its keyword and semicolon tokens
+outright and loops over its parameters and commas only. Anything else, such
+as a statement broken across lines or by a comment, a case-variant keyword
+or a bad lexeme, falls back to one match per token. Gaps (whitespace,
+newlines, closed comments) are a prefix of the next match, or of a last
+match at the end. Line and column come from the last newline seen, searched
+for only in gaps that are not empty. Spans are valid by construction, so
+tokens and spans skip SourceSpan's check.
 
 Lexical problems never abort the scan. Each one becomes a diagnostic in one of
 the five lexical categories, and where the intended token is obvious the
@@ -50,13 +52,17 @@ _BAD_KEYWORD, _BAD_IDENTIFIER = Category.KEYWORD, Category.IDENTIFIER
 _BAD_NUMBER, _BAD_CHARACTER, _BAD_COMMENT = Category.NUMBER, Category.CHARACTER, Category.COMMENT
 _new = tuple.__new__
 _isfinite = math.isfinite
+# What continues a digit-led lexeme; it continues a word too, but for ".".
+_CONTINUE = "[A-Za-z0-9_.]"
 
 
 def _statement_alternatives() -> tuple[str, dict[str, tuple]]:
     """One alternative per token-kind shape in STATEMENT_KINDS, a whole
     statement on one line: a lowercase keyword of that shape, then the tokens
     of its kinds. Only spaces and tabs come between them, and at least one
-    between a keyword and its first parameter. No lexeme in a match needs a
+    between a keyword and its first parameter. The semicolon may be missing
+    where the next character is none of _CONTINUE, so that the per-token
+    path would end the last lexeme there too. No lexeme in a match needs a
     diagnostic: a number has at most sys.float_info.max_10_exp (308) integer
     digits, so it is below 10**308 and its float finite, and an object is no
     keyword in any case. Also returns, per alternative of _TOKEN_RE, the
@@ -69,22 +75,23 @@ def _statement_alternatives() -> tuple[str, dict[str, tuple]]:
     shapes: dict[tuple[TokenKind, ...], list[str]] = {}
     for keyword, kinds in STATEMENT_KINDS.items():
         shapes.setdefault(tuple(kinds), []).append(keyword)
-    # A number is followed by spaces or tabs and "," or ";", which cannot
+    # A number is followed by spaces or tabs and ",", or by what cannot
     # continue a numeral, so "2.5.3" and "3apple" still go to numeral.
     regex = {_NUMBER: rf"-?[0-9]{{1,{sys.float_info.max_10_exp}}}(?:\.[0-9]+)?", _COMMA: ",",
-             _IDENTIFIER: rf"(?!{ANY_CASE_KEYWORD}){IDENTIFIER}", _SEMICOLON: ";"}
+             _IDENTIFIER: rf"(?!{ANY_CASE_KEYWORD}){IDENTIFIER}"}
     alternatives = []
     for index, (kinds, keywords) in enumerate(shapes.items()):
         name = f"s{index}"
         pattern, groups = f"(?P<{name}k>{'|'.join(keywords)})", [(f"{name}k", _KEYWORD)]
-        for i, kind in enumerate(kinds):
-            # The semicolon's group, the last to close, names the alternative:
-            # a group around all of it would add to the cost of every match.
-            group = name if kind is _SEMICOLON else f"{name}t{i}"
-            gap = "+" if i == 0 and kind is not _SEMICOLON else "*"
-            pattern += rf"[ \t]{gap}(?P<{group}>{regex[kind]})"
+        for i, kind in enumerate(kinds[:-1]):  # the last kind is the semicolon
+            group = f"{name}t{i}"
+            pattern += rf"[ \t]{'+' if i == 0 else '*'}(?P<{group}>{regex[kind]})"
             groups.append((group, kind))
+        # The semicolon's group, the last to close, names the alternative:
+        # a group around all of it would add to the cost of every match.
+        pattern += rf"(?:[ \t]*(?P<{name}>;)|(?!{_CONTINUE}))"
         alternatives.append(pattern)
+        groups.append((name, _SEMICOLON))
         lexemes[name] = tuple(groups)
     return "|".join(alternatives), lexemes
 
@@ -98,13 +105,13 @@ _TOKEN_RE = re.compile(
     # The search for */ starts after the /*, so "/*/" does not close.
     r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
     # A clean one-line statement whose keyword is lowercase: one match, with
-    # only spaces and tabs between its tokens.
+    # only spaces and tabs between its tokens, with or without its semicolon.
     rf"(?:{_STATEMENT_ALTERNATIVES}"
     rf"|(?P<word>{IDENTIFIER})"
     # A digit-led run of letters, digits and dots is one lexeme, so that
     # "123.23.45" and "3apple" each become a single diagnostic. It is a number
     # when all of it is its prefix, a NUMERAL.
-    rf"|(?P<numeral>(?P<prefix>{NUMERAL})[A-Za-z0-9_.]*)"
+    rf"|(?P<numeral>(?P<prefix>{NUMERAL}){_CONTINUE}*)"
     r"|(?P<semicolon>;)"
     r"|(?P<comma>,)"
     # Unterminated: diagnose the opening line, swallow the rest of the input.
@@ -115,13 +122,17 @@ _TOKEN_RE = re.compile(
     r"|(?P<end>\Z))",
     re.DOTALL,
 )
-# Per statement alternative, by its semicolon's group number (a match's lastindex),
-# its keyword's group number, then the group number and kind of each of its
-# parameters and commas. The semicolon, one character, ends the match.
+# Per statement alternative, by the number of the group that closes last (a
+# match's lastindex): its keyword's group number, the group number and kind of
+# each of its parameters and commas, and whether a semicolon, one character,
+# ends the match. The semicolon's group closes last when it matched, else the
+# last parameter's, or the keyword's in a statement without parameters.
 _STATEMENTS = {
-    _TOKEN_RE.groupindex[name]: (_TOKEN_RE.groupindex[lexemes[0][0]],
-                                 tuple((_TOKEN_RE.groupindex[g], k) for g, k in lexemes[1:-1]))
+    _TOKEN_RE.groupindex[last]: (_TOKEN_RE.groupindex[lexemes[0][0]],
+                                 tuple((_TOKEN_RE.groupindex[g], k) for g, k in lexemes[1:-1]),
+                                 terminated)
     for name, lexemes in _LEXEMES.items() if len(lexemes) > 1
+    for last, terminated in ((name, True), (lexemes[-2][0], False))
 }
 _LETTER_RE = re.compile(r"[A-Za-z_]")
 _FLOAT_MAX = sys.float_info.max
@@ -153,7 +164,7 @@ def lex(source: str) -> LexOutcome:
             line += newlines
             line_start = source.rfind("\n", pos, start) + 1
         if statement:
-            keyword, parameters = statement
+            keyword, parameters, terminated = statement
             offset = line_start - 1  # a lexeme's column is its index in source minus this
             text = m.group(keyword)
             span = _new(SourceSpan, (line, start - offset, start - offset + len(text) - 1))
@@ -165,9 +176,10 @@ def lex(source: str) -> LexOutcome:
                 tokens.append(_new(Token, (kind, text, span, None,
                                            float(text) if kind is _NUMBER else None)))
             pos = m.end()
-            col = pos - 1 - offset  # the semicolon is the match's last character
-            span = _new(SourceSpan, (line, col, col))
-            tokens.append(_new(Token, (_SEMICOLON, ";", span, None, None)))
+            if terminated:
+                col = pos - 1 - offset  # the semicolon is the match's last character
+                span = _new(SourceSpan, (line, col, col))
+                tokens.append(_new(Token, (_SEMICOLON, ";", span, None, None)))
             continue
         alternative = m.lastgroup
         if alternative == "end":

@@ -18,6 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
+from .syntax import finite_number
+
 ENV_API_KEY = "RSL_API_KEY"
 ENV_BASE_URL = "RSL_BASE_URL"
 ENV_MODEL = "RSL_MODEL"
@@ -76,9 +78,10 @@ class ModelConfig:
             raise ValueError("base_url must be an absolute http(s) URL")
         if not self.model_name:
             raise ValueError("model_name must be non-empty")
-        if self.timeout <= 0:
+        # NaN compares false with every number, and no request can carry it or an infinity.
+        if not finite_number(self.timeout) or self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        if self.temperature < 0:
+        if not finite_number(self.temperature) or self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")

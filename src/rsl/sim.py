@@ -318,4 +318,6 @@ def trace_to_jsonl(state: RobotState) -> str:
             f'"held": {held_text}, "perceived": {perceived_text}, "statement": '
             f'{encode_basestring_ascii(render_statement(statement))}, "x": {x_text}, "y": {y_text}}}'
         )
-    return "\n".join(lines) + ("\n" if lines else "")
+    if lines:
+        lines.append("")  # so that the one join ends the export in a newline
+    return "\n".join(lines)

@@ -271,6 +271,12 @@ STATEMENT_EDGE_CASES = (
     # number of more than 308 integer digits: those go to the per-token path.
     "approach Forward;", "grasp goto;", "approach GOTO ;",
     "forward " + "9" * 308 + ";", "forward " + "9" * 309 + ";", "goto 1, -" + "1" * 400 + ";",
+    # A statement without its semicolon is one match only where the next
+    # character cannot continue its last lexeme.
+    "forward 1", "forward 1 ", "forward 1\nperceive;", "perceive", "perceivex", "perceive.",
+    "grasp cup", "grasp cup.", "goto 1, 2", "goto 1, 2 3;", "forward 1 2;", "forward 1.",
+    "forward 1x", "forward 1_", "forward 1-2;", "forward 1/", "forward 1//c", "forward 1/*c",
+    "approach forward",
 )
 
 
@@ -284,6 +290,19 @@ def test_clean_statement_is_one_match(keyword, gap):
     assert len(lexer_mod._LEXEMES[statement.lastgroup]) == len(lex(source).tokens) - 1
 
 
+@pytest.mark.parametrize("gap", [" ", "\t"], ids=["blanks", "tabs"])
+@pytest.mark.parametrize("keyword", sorted(KEYWORDS))
+def test_unterminated_statement_is_one_match(keyword, gap):
+    args = tuple(Number(-2.5, "-2.5") if p == "number" else "cup" for p in STATEMENT_SCHEMAS[keyword])
+    terminated = render_statement(Statement(keyword, args)).replace(" ", gap)
+    source = terminated[:-1]
+    statement, end = lexer_mod._TOKEN_RE.finditer(source)
+    assert (statement.end(), end.lastgroup) == (len(source), "end")
+    keyword_group, _, terminated_match = lexer_mod._STATEMENTS[statement.lastindex]
+    assert (statement.start(keyword_group), terminated_match) == (0, False)
+    assert lex(source).tokens[:-1] == lex(terminated).tokens[:-2]
+
+
 def test_statement_alternatives_match_reference_scanner():
     rng = random.Random(20261018)
     # Lexers that let a statement number end in a dot, or skip the keyword
@@ -295,8 +314,7 @@ def test_statement_alternatives_match_reference_scanner():
         out = lex(source)
         assert (out.tokens, out.diagnostics) == ReferenceScanner(source).scan(), source
         whole += any(
-            len(lexer_mod._LEXEMES[m.lastgroup]) > 1
-            for m in lexer_mod._TOKEN_RE.finditer(source) if m.lastgroup != "end"
+            m.lastindex in lexer_mod._STATEMENTS for m in lexer_mod._TOKEN_RE.finditer(source)
         )
     # The inputs mostly take the whole-statement alternatives under test.
     assert whole > 0.8 * len(sources)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -184,8 +185,14 @@ def test_model_config_validation():
         ModelConfig(base_url="http://x", model_name="m", timeout=0)
     with pytest.raises(ValueError):
         ModelConfig(base_url="http://x", model_name="m", temperature=-1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"\Atimeout must be positive\Z"):
+            ModelConfig(base_url="http://x", model_name="m", timeout=bad)
+        with pytest.raises(ValueError, match=r"\Atemperature must be >= 0\Z"):
+            ModelConfig(base_url="http://x", model_name="m", temperature=bad)
     with pytest.raises(ValueError, match="max_retries"):
         ModelConfig(base_url="http://x", model_name="m", max_retries=-1)
+    assert ModelConfig(base_url="http://x", model_name="m", temperature=2, timeout=1e-3).timeout == 1e-3
 
 
 class FakeResponse:
